@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 use cimflow::Strategy;
 use cimflow_bench::{dse_cache_path, resolution};
 use cimflow_dse::{
-    analysis, explore, EvalCache, EvalService, Executor, ExploreAlgorithm, ExploreReport,
-    ExploreSpec, ServiceConfig, SweepSpec,
+    analysis, explore, EvalCache, EvalService, ExploreAlgorithm, ExploreReport, ExploreSpec,
+    ServiceConfig, SweepSpec,
 };
 
 /// The fixed seed of the headline run (every arm's trajectory is fully
@@ -124,7 +124,10 @@ fn main() {
     let cache_path = dse_cache_path();
     let cache = EvalCache::load(&cache_path).unwrap_or_default();
     let started = std::time::Instant::now();
-    let grid = Executor::new().run_spec(&space, &cache).expect("fig_ladder space is valid");
+    let grid = EvalService::with_cache(ServiceConfig::new(), cache.clone())
+        .submit_sweep(&space)
+        .expect("fig_ladder space is valid")
+        .wait();
     println!(
         "exhaustive grid: {} evaluations in {:.2?} ({} cache hit(s))",
         grid.len(),

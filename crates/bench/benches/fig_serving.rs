@@ -1,8 +1,8 @@
 //! Serving throughput — the first service-trajectory benchmark
 //! (BENCH_SERVING): end-to-end points/second of the `EvalService`
-//! request/response core under 1/2/4 concurrent clients, against the
-//! blocking `Executor` running the same total work, on the same worker
-//! pool size and a cold cache each time.
+//! request/response core under 1/2/4 concurrent clients, against blocking
+//! back-to-back sweeps (each on its own service) running the same total
+//! work, on the same worker pool size and a cold cache each time.
 //!
 //! Each client submits a disjoint 6-point sweep (2 strategies × 3
 //! macro-group sizes, at a client-distinct flit size), so total work
@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use cimflow::Strategy;
 use cimflow_bench::resolution;
-use cimflow_dse::{EvalCache, EvalService, Executor, Priority, ServiceConfig, SweepSpec};
+use cimflow_dse::{EvalCache, EvalService, Priority, ServiceConfig, SweepSpec};
 
 const WORKERS: usize = 4;
 const CLIENTS: [usize; 3] = [1, 2, 4];
@@ -39,7 +39,7 @@ fn main() {
     );
     println!(
         "{:>18} {:>8} {:>10} {:>12} {:>14}",
-        "configuration", "points", "elapsed", "points/s", "vs executor"
+        "configuration", "points", "elapsed", "points/s", "vs blocking"
     );
 
     for clients in CLIENTS {
@@ -47,17 +47,20 @@ fn main() {
             (0..clients).map(|client| client_spec(client, resolution)).collect();
         let total: usize = specs.iter().map(SweepSpec::point_count).sum();
 
-        // Blocking baseline: one Executor runs every client's points
-        // back-to-back on the same worker count.
+        // Blocking baseline: every client's sweep runs to completion on a
+        // service of its own, back-to-back, on the same worker count.
         let cache = EvalCache::new();
-        let executor = Executor::with_workers(WORKERS);
         let started = Instant::now();
         for spec in &specs {
-            let outcomes = executor.run_spec(spec, &cache).expect("valid spec");
+            let config = ServiceConfig::new().with_workers(WORKERS);
+            let outcomes = EvalService::with_cache(config, cache.clone())
+                .submit_sweep(spec)
+                .expect("valid spec")
+                .wait();
             assert!(outcomes.iter().all(|o| o.result.is_ok()));
         }
-        let executor_elapsed = started.elapsed();
-        let executor_rate = total as f64 / executor_elapsed.as_secs_f64();
+        let blocking_elapsed = started.elapsed();
+        let blocking_rate = total as f64 / blocking_elapsed.as_secs_f64();
 
         // The service: one pool, `clients` threads submitting and
         // waiting concurrently.
@@ -84,14 +87,14 @@ fn main() {
             total,
             service_elapsed,
             service_rate,
-            service_rate / executor_rate
+            service_rate / blocking_rate
         );
         assert_eq!(service.stats().completed as usize, total);
         assert_eq!(service.cache().stats().misses as usize, total, "disjoint grids stay cold");
     }
 
     println!(
-        "\nThe service matches the blocking executor within noise at every client\n\
+        "\nThe service matches blocking sweeps within noise at every client\n\
          count (same pool, same pipeline) while adding non-blocking submission,\n\
          admission control and per-tenant quotas; concurrent clients share one\n\
          warm pool instead of spawning their own."

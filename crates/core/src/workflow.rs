@@ -7,7 +7,7 @@ use cimflow_nn::Model;
 use crate::CimFlowError;
 
 // The evaluation record (and the underlying compile→simulate primitive)
-// lives in `cimflow-dse`, where the batch engine fans it out; the facade
+// lives in `cimflow-dse`, whose service evaluates sweeps; the facade
 // re-exports it so existing `cimflow::Evaluation` users are unaffected.
 pub use cimflow_dse::Evaluation;
 

@@ -8,7 +8,7 @@
 //! full compile → simulate run, and any change to the architecture or the
 //! model changes its hash and therefore invalidates the entry.
 //!
-//! The cache is thread-safe (shared by all executor workers) and can be
+//! The cache is thread-safe (shared by all service workers) and can be
 //! persisted to JSON so separate processes — e.g. the `fig6` and `fig7`
 //! bench targets — share warm state.
 //!
@@ -230,9 +230,9 @@ impl Deserialize for CacheStats {
 /// The store lives behind an [`Arc`](std::sync::Arc), so `Clone` is
 /// shallow: every clone
 /// shares the same entries and counters. That is what lets the long-lived
-/// [`EvalService`](crate::EvalService) worker threads and a caller holding
-/// `&EvalCache` (the blocking [`Executor`](crate::Executor) API) operate
-/// on one cache.
+/// [`EvalService`](crate::EvalService) worker threads, the caller that
+/// handed the cache to [`EvalService::with_cache`](crate::EvalService::with_cache)
+/// and any further services over it operate on one cache.
 #[derive(Debug, Clone, Default)]
 pub struct EvalCache {
     inner: std::sync::Arc<CacheInner>,

@@ -5,7 +5,10 @@ use std::fmt;
 
 use cimflow_arch::ArchError;
 use cimflow_compiler::CompileError;
+use cimflow_nn::NnError;
 use cimflow_sim::SimError;
+
+use crate::Rejected;
 
 /// Any error produced while expanding or evaluating a sweep.
 ///
@@ -26,6 +29,8 @@ pub enum DseError {
         /// The unresolvable model name.
         name: String,
     },
+    /// The zoo model cannot be built at the point's resolution.
+    Model(NnError),
     /// The sweep specification itself is unusable.
     Spec {
         /// Human-readable reason.
@@ -36,8 +41,8 @@ pub enum DseError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The job was cancelled before it ran (service job handles only;
-    /// the blocking executor never produces this).
+    /// The job was cancelled before it ran (queued work dropped by a
+    /// cancel or a service shutdown).
     Cancelled,
 }
 
@@ -60,6 +65,7 @@ impl fmt::Display for DseError {
             DseError::Compile(e) => write!(f, "compilation error: {e}"),
             DseError::Simulation(e) => write!(f, "simulation error: {e}"),
             DseError::UnknownModel { name } => write!(f, "unknown benchmark model `{name}`"),
+            DseError::Model(e) => write!(f, "model error: {e}"),
             DseError::Spec { reason } => write!(f, "invalid sweep specification: {reason}"),
             DseError::Io { reason } => write!(f, "sweep I/O error: {reason}"),
             DseError::Cancelled => write!(f, "evaluation cancelled before it ran"),
@@ -73,6 +79,7 @@ impl Error for DseError {
             DseError::Arch(e) => Some(e),
             DseError::Compile(e) => Some(e),
             DseError::Simulation(e) => Some(e),
+            DseError::Model(e) => Some(e),
             _ => None,
         }
     }
@@ -93,6 +100,27 @@ impl From<CompileError> for DseError {
 impl From<SimError> for DseError {
     fn from(value: SimError) -> Self {
         DseError::Simulation(value)
+    }
+}
+
+impl From<NnError> for DseError {
+    fn from(value: NnError) -> Self {
+        match value {
+            NnError::UnknownModel { name } => DseError::UnknownModel { name },
+            other => DseError::Model(other),
+        }
+    }
+}
+
+/// A refused submission as an error: an unexpandable spec keeps its bare
+/// reason as [`DseError::Spec`]; backpressure and shutdown become
+/// [`DseError::Io`].
+impl From<Rejected> for DseError {
+    fn from(value: Rejected) -> Self {
+        match value {
+            Rejected::InvalidSpec { reason } => DseError::Spec { reason },
+            other => DseError::io(format!("submission rejected: {other}")),
+        }
     }
 }
 

@@ -1,11 +1,10 @@
-//! The single-point evaluation primitive: `model + architecture +
-//! strategy → compile → simulate → Evaluation`.
+//! The evaluation primitive: `model + architecture + strategy → compile
+//! → simulate → Evaluation`, for one point ([`evaluate`]) or for a family
+//! of timing-only variants that share one recorded trace.
 //!
-//! This is the unit of work the parallel executor fans out and the value
-//! the evaluation cache stores. The [`Evaluation`] record used to live in
-//! the `cimflow` facade crate; it moved here so that both the facade's
-//! `CimFlow` workflow object and the batch engine share one definition
-//! (the facade re-exports it).
+//! An [`Evaluation`] is the unit of work the service's workers produce
+//! and the value the evaluation cache stores; the `cimflow` facade's
+//! `CimFlow` workflow object re-exports the same record.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,7 +15,8 @@ use cimflow_compiler::{
 };
 use cimflow_nn::Model;
 use cimflow_sim::{
-    ReplayEngine, ServeModel, ServingReport, SimError, SimOptions, SimReport, Simulator,
+    LockstepStats, ReplayEngine, ServeModel, ServingReport, SimError, SimOptions, SimReport,
+    Simulator,
 };
 use cimflow_traffic::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -138,7 +138,7 @@ pub struct ServingSummary {
 impl ServingSummary {
     fn of(report: &ServingReport, own: &str) -> Self {
         // Fall back to the aggregate quantiles if the own model is
-        // somehow absent (it never is when built through `serve_point`).
+        // somehow absent (it never is when built through `serve_rates`).
         let latency =
             report.per_model.iter().find(|m| m.model == own).map_or(report.latency, |m| m.latency);
         ServingSummary {
@@ -191,6 +191,31 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
+    /// The evaluation of `arch` whose compile-side facts come from a
+    /// recorded trace entry.
+    fn of_trace(
+        entry: &TraceEntry,
+        model: &Model,
+        strategy: Strategy,
+        search: SearchMode,
+        arch: &ArchConfig,
+        simulation: SimReport,
+        eval_path: EvalPath,
+    ) -> Self {
+        Evaluation {
+            model: model.name.clone(),
+            strategy,
+            search,
+            arch: *arch,
+            compilation: entry.compilation.clone(),
+            stages: entry.stages,
+            mean_duplication: entry.mean_duplication,
+            simulation,
+            eval_path,
+            serving: None,
+        }
+    }
+
     /// Normalized-speed helper: the speedup of this evaluation relative to
     /// a baseline evaluation of the same model (Fig. 5's y-axis).
     pub fn speedup_over(&self, baseline: &Evaluation) -> f64 {
@@ -229,7 +254,8 @@ impl fmt::Display for Evaluation {
 ///
 /// Returns the architecture-validation, compilation or simulation failure
 /// of the point. Callers sweeping a grid should capture this per point
-/// (see [`Executor`](crate::Executor)) rather than aborting the sweep.
+/// (as [`EvalService`](crate::EvalService) does) rather than aborting the
+/// sweep.
 pub fn evaluate(
     arch: &ArchConfig,
     model: &Model,
@@ -267,162 +293,137 @@ pub fn evaluate_with_search(
     })
 }
 
-/// [`evaluate_with_search`] through a shared [`TraceStore`]: the first
-/// point of a trace group compiles and *records* (its report comes from
-/// the recording interpreter run — [`EvalPath::Interpreted`]); every
-/// later point with the same [`TraceKey`] skips compilation entirely and
-/// replays the recorded trace ([`EvalPath::Replayed`]), which is
-/// bit-exact by construction.
+/// Evaluates a family of design points that share one `(model, strategy,
+/// search)` and differ only in `arches` — the evaluator behind every
+/// service claim, from a solo point to a drained trace group.
 ///
-/// If the replay engine refuses the point (it never approximates — see
-/// [`cimflow_sim::SimError::TraceMismatch`]), the point transparently
-/// falls back to the full `compile → simulate` pipeline.
+/// Without a store every point compiles and runs. With a shared
+/// [`TraceStore`] the family shares one recorded trace, so every arch
+/// must have the first one's [`TraceKey`]: the first point records the
+/// trace on a store miss (its report is the recording interpreter run's,
+/// [`EvalPath::Interpreted`]), and every other point — all of them when
+/// the trace already exists — is re-timed by **one** lockstep
+/// [`ReplayEngine::replay_batch_stats`] walk ([`EvalPath::Replayed`],
+/// bit-exact by construction). An invalid first point never touches the
+/// store. A point the replay engine refuses (it never approximates), and
+/// every point of a family whose trace cannot be had, runs the full
+/// `compile → simulate` pipeline instead.
 ///
-/// # Errors
-///
-/// See [`evaluate`].
-pub fn evaluate_traced(
-    arch: &ArchConfig,
-    model: &Model,
-    strategy: Strategy,
-    search: SearchMode,
-    traces: &TraceStore,
-) -> Result<Evaluation, DseError> {
-    arch.validate()?;
-    let key = TraceKey::of(arch, model, strategy, search);
-    let mut recorded_report = None;
-    let (entry, recorded_here) = traces.get_or_record_with(key, || {
-        let options = CompileOptions { strategy, search, ..CompileOptions::default() };
-        let compiled = compile_with_options(model, arch, options)?;
-        let (trace, report) = Simulator::record(&compiled)?;
-        recorded_report = Some(report);
-        Ok(TraceEntry {
-            trace,
-            compilation: compiled.report.clone(),
-            stages: compiled.plan.stages.len(),
-            mean_duplication: compiled.plan.mean_duplication(),
-        })
-    })?;
-    let build = |simulation: SimReport, eval_path: EvalPath| Evaluation {
-        model: model.name.clone(),
-        strategy,
-        search,
-        arch: *arch,
-        compilation: entry.compilation.clone(),
-        stages: entry.stages,
-        mean_duplication: entry.mean_duplication,
-        simulation,
-        eval_path,
-        serving: None,
-    };
-    if recorded_here {
-        let report = recorded_report.expect("recording produced a report");
-        return Ok(build(report, EvalPath::Interpreted));
-    }
-    match ReplayEngine::new(&entry.trace).replay(arch, SimOptions::default()) {
-        Ok(report) => Ok(build(report, EvalPath::Replayed)),
-        // The replay engine never approximates: any refusal (or runtime
-        // fault) sends the point through the full pipeline instead.
-        Err(_) => evaluate_with_search(arch, model, strategy, search),
-    }
-}
-
-/// Re-times one recorded trace for a whole group of timing-only points
-/// with a single lockstep [`ReplayEngine::replay_batch_stats`] call —
-/// the service's trace-group fast path. Every member must share the
-/// entry's [`TraceKey`]; compile-side facts are cloned from the entry
-/// exactly as [`evaluate_traced`] does. Each member gets its own result
-/// (a refused or failed member errs individually so the caller can fall
-/// back to the full pipeline for just that point), plus the batch's
-/// lockstep counters.
-pub(crate) fn evaluate_replay_group(
-    entry: &TraceEntry,
+/// Returns one result per arch plus the counters of the lockstep walk.
+pub(crate) fn evaluate_family(
     model: &Model,
     strategy: Strategy,
     search: SearchMode,
     arches: &[ArchConfig],
-) -> (Vec<Result<Evaluation, SimError>>, cimflow_sim::LockstepStats) {
-    let engine = ReplayEngine::new(&entry.trace);
-    let points: Vec<(ArchConfig, SimOptions)> =
-        arches.iter().map(|arch| (*arch, SimOptions::default())).collect();
-    let (reports, stats) = engine.replay_batch_stats(&points);
-    let evaluations = arches
-        .iter()
-        .zip(reports)
-        .map(|(arch, report)| {
-            report.map(|simulation| Evaluation {
-                model: model.name.clone(),
-                strategy,
-                search,
-                arch: *arch,
-                compilation: entry.compilation.clone(),
-                stages: entry.stages,
-                mean_duplication: entry.mean_duplication,
-                simulation,
-                eval_path: EvalPath::Replayed,
-                serving: None,
-            })
-        })
-        .collect();
-    (evaluations, stats)
+    traces: Option<&TraceStore>,
+) -> (Vec<Result<Evaluation, DseError>>, LockstepStats) {
+    let compile_and_run = |arch: &ArchConfig| evaluate_with_search(arch, model, strategy, search);
+    let Some(traces) = traces else {
+        return (arches.iter().map(compile_and_run).collect(), LockstepStats::default());
+    };
+    let mut results: Vec<Option<Result<Evaluation, DseError>>> =
+        arches.iter().map(|_| None).collect();
+    let lead = &arches[0];
+    let key = TraceKey::of(lead, model, strategy, search);
+    // Reuses the store has already counted: finding an existing trace
+    // counts as one.
+    let mut counted = 0;
+    let entry = match lead.validate() {
+        Err(e) => {
+            results[0] = Some(Err(e.into()));
+            traces.get(&key)
+        }
+        Ok(()) => {
+            let mut recorded_report = None;
+            let stored = traces.get_or_record_with(key, || {
+                let compiled = compile_for(lead, strategy, search, model)?;
+                let (trace, report) = Simulator::record(&compiled)?;
+                recorded_report = Some(report);
+                Ok(TraceEntry {
+                    trace,
+                    compilation: compiled.report.clone(),
+                    stages: compiled.plan.stages.len(),
+                    mean_duplication: compiled.plan.mean_duplication(),
+                })
+            });
+            match stored {
+                Ok((entry, _)) => {
+                    match recorded_report {
+                        Some(report) => {
+                            results[0] = Some(Ok(Evaluation::of_trace(
+                                &entry,
+                                model,
+                                strategy,
+                                search,
+                                lead,
+                                report,
+                                EvalPath::Interpreted,
+                            )));
+                        }
+                        None => counted = 1,
+                    }
+                    Some(entry)
+                }
+                Err(e) => {
+                    results[0] = Some(Err(e));
+                    None
+                }
+            }
+        }
+    };
+    let pending: Vec<usize> = (0..arches.len()).filter(|&i| results[i].is_none()).collect();
+    let mut stats = LockstepStats::default();
+    match entry {
+        Some(entry) if !pending.is_empty() => {
+            let points: Vec<(ArchConfig, SimOptions)> =
+                pending.iter().map(|&i| (arches[i], SimOptions::default())).collect();
+            let (reports, walk) = ReplayEngine::new(&entry.trace).replay_batch_stats(&points);
+            stats = walk;
+            let mut served = 0u64;
+            for (&i, report) in pending.iter().zip(reports) {
+                results[i] = Some(match report {
+                    Ok(simulation) => {
+                        served += 1;
+                        Ok(Evaluation::of_trace(
+                            &entry,
+                            model,
+                            strategy,
+                            search,
+                            &arches[i],
+                            simulation,
+                            EvalPath::Replayed,
+                        ))
+                    }
+                    Err(_) => compile_and_run(&arches[i]),
+                });
+            }
+            traces.note_reuse(served.saturating_sub(counted));
+        }
+        _ => {
+            for &i in &pending {
+                results[i] = Some(compile_and_run(&arches[i]));
+            }
+        }
+    }
+    (results.into_iter().map(|r| r.expect("every point evaluated")).collect(), stats)
 }
 
-/// Runs the serving-mode simulator for one design point: every
-/// co-located model of `traffic` is sourced from the shared
-/// [`TraceStore`] when one is available (the first point of a trace
-/// group records, every later point — and every other offered rate of
-/// the same design — replays the recorded trace), falling back to a
-/// fresh compile per model otherwise.
+/// Runs the serving-mode simulator for one design point at every rate of
+/// `rates`: the co-located models of `traffic` are pinned **once** and
+/// every rate reuses the same single-inference reports through
+/// [`Simulator::serve_ladder`]. Each model is sourced from the shared
+/// [`TraceStore`] when one is available (recording on first touch,
+/// replaying afterwards) and freshly compiled otherwise.
 ///
 /// `own` is the point's own model spec; its per-model latency quantiles
-/// become the summary's SLO numbers.
+/// become each summary's SLO numbers. Rate-level failures (e.g. a zero
+/// rate) err individually.
 ///
 /// # Errors
 ///
-/// Compilation/simulation failures of any co-located model, or
-/// [`SimError::Traffic`] (as [`DseError::Simulation`]) for unusable
-/// workloads.
-pub(crate) fn serve_point(
-    arch: &ArchConfig,
-    strategy: Strategy,
-    search: SearchMode,
-    traffic: &TrafficJob,
-    offered_qps: u64,
-    own: &crate::ModelSpec,
-    traces: Option<&TraceStore>,
-) -> Result<ServingSummary, DseError> {
-    let held = hold_sources(arch, strategy, search, traffic, traces)?;
-    let serve = |held: &[(String, Held)]| {
-        Simulator::serve(
-            &serve_models(held, arch),
-            &traffic.workload,
-            offered_qps,
-            SimOptions::default(),
-        )
-    };
-    let report = match serve(&held) {
-        Ok(report) => report,
-        // The replay engine never approximates: a refused trace sends
-        // every model through a fresh compile instead.
-        Err(SimError::TraceMismatch { .. }) => {
-            serve(&recompile_sources(arch, strategy, search, traffic)?)?
-        }
-        Err(e) => return Err(e.into()),
-    };
-    Ok(ServingSummary::of(&report, &served_model_name(&own.name, own.resolution)))
-}
-
-/// [`serve_point`] for a whole co-located rate ladder: the program
-/// sources are pinned **once** and every rung reuses the same
-/// single-inference reports through [`Simulator::serve_ladder`] — the
-/// service's ladder-group fast path. Rung-level failures (e.g. a
-/// zero-QPS rung) err individually.
-///
-/// # Errors
-///
-/// Same conditions as [`serve_point`], for failures that sink the whole
-/// ladder (unresolvable sources, refused traces even after recompiling).
-pub(crate) fn serve_ladder_points(
+/// Compilation/simulation failures of any co-located model, or a trace
+/// the replay engine refuses even after recompiling.
+pub(crate) fn serve_rates(
     arch: &ArchConfig,
     strategy: Strategy,
     search: SearchMode,
@@ -442,6 +443,8 @@ pub(crate) fn serve_ladder_points(
     };
     let reports = match ladder(&held) {
         Ok(reports) => reports,
+        // The replay engine never approximates: a refused trace sends
+        // every model through a fresh compile instead.
         Err(SimError::TraceMismatch { .. }) => {
             ladder(&recompile_sources(arch, strategy, search, traffic)?)?
         }
@@ -579,51 +582,73 @@ mod tests {
         assert_eq!(back.eval_path, EvalPath::Interpreted);
     }
 
+    const DP: Strategy = Strategy::DpOptimized;
+    const SEQUENTIAL: SearchMode = SearchMode::Sequential;
+
+    /// A traced family of one.
+    fn traced(
+        arch: &ArchConfig,
+        model: &Model,
+        store: &TraceStore,
+    ) -> Result<Evaluation, DseError> {
+        evaluate_family(model, DP, SEQUENTIAL, &[*arch], Some(store)).0.pop().unwrap()
+    }
+
     #[test]
     fn traced_evaluation_replays_timing_only_points_bit_exactly() {
         let store = TraceStore::new();
         let base = ArchConfig::paper_default();
         let model = models::mobilenet_v2(32);
-        let first =
-            evaluate_traced(&base, &model, Strategy::DpOptimized, SearchMode::Sequential, &store)
-                .unwrap();
+        let first = traced(&base, &model, &store).unwrap();
         assert_eq!(first.eval_path, EvalPath::Interpreted);
         // Also matches the plain pipeline at the recording point itself.
-        let plain =
-            evaluate_with_search(&base, &model, Strategy::DpOptimized, SearchMode::Sequential)
-                .unwrap();
+        let plain = evaluate_with_search(&base, &model, DP, SEQUENTIAL).unwrap();
         assert_eq!(first.simulation, plain.simulation);
 
         let retimed = base.with_frequency_mhz(500).with_memory_port(27);
-        let replayed = evaluate_traced(
-            &retimed,
-            &model,
-            Strategy::DpOptimized,
-            SearchMode::Sequential,
-            &store,
-        )
-        .unwrap();
+        let replayed = traced(&retimed, &model, &store).unwrap();
         assert_eq!(replayed.eval_path, EvalPath::Replayed);
-        let reference =
-            evaluate_with_search(&retimed, &model, Strategy::DpOptimized, SearchMode::Sequential)
-                .unwrap();
+        let reference = evaluate_with_search(&retimed, &model, DP, SEQUENTIAL).unwrap();
         assert_eq!(replayed.simulation, reference.simulation, "replay must be bit-exact");
         assert_eq!(replayed.compilation, reference.compilation);
         assert_eq!(replayed.stages, reference.stages);
         assert_eq!(replayed.arch, retimed);
 
         // A compile-affecting change records a second trace.
-        let widened = evaluate_traced(
-            &base.with_flit_bytes(16),
-            &model,
-            Strategy::DpOptimized,
-            SearchMode::Sequential,
-            &store,
-        )
-        .unwrap();
+        let widened = traced(&base.with_flit_bytes(16), &model, &store).unwrap();
         assert_eq!(widened.eval_path, EvalPath::Interpreted);
         assert_eq!(store.len(), 2);
         assert_eq!(store.stats().reused, 1);
+    }
+
+    #[test]
+    fn families_record_their_leader_and_replay_the_rest_in_one_walk() {
+        let store = TraceStore::new();
+        let base = ArchConfig::paper_default();
+        let model = models::mobilenet_v2(32);
+        let arches = [
+            base,
+            base.with_frequency_mhz(500),
+            base.with_memory_port(27),
+            base.with_frequency_mhz(500).with_memory_port(27),
+        ];
+        let (family, stats) = evaluate_family(&model, DP, SEQUENTIAL, &arches, Some(&store));
+        for (i, (arch, evaluation)) in arches.iter().zip(&family).enumerate() {
+            let evaluation = evaluation.as_ref().unwrap();
+            let path = if i == 0 { EvalPath::Interpreted } else { EvalPath::Replayed };
+            assert_eq!(evaluation.eval_path, path);
+            let reference = evaluate_with_search(arch, &model, DP, SEQUENTIAL).unwrap();
+            assert_eq!(evaluation.simulation, reference.simulation);
+        }
+        // The three replayed points collapse onto two cycle-distinct
+        // lanes (frequency never enters cycle-domain timing).
+        assert_eq!((stats.batches, stats.lanes), (1, 2));
+        assert_eq!((store.stats().recorded, store.stats().reused), (1, 3));
+
+        // Without a store every point compiles and runs.
+        let (plain, stats) = evaluate_family(&model, DP, SEQUENTIAL, &arches[1..2], None);
+        assert_eq!(plain[0].as_ref().unwrap().eval_path, EvalPath::Interpreted);
+        assert_eq!(stats, LockstepStats::default());
     }
 
     #[test]
@@ -631,16 +656,7 @@ mod tests {
         let store = TraceStore::new();
         let model = models::mobilenet_v2(32);
         let invalid = ArchConfig::paper_default().with_macros_per_group(0);
-        assert!(matches!(
-            evaluate_traced(
-                &invalid,
-                &model,
-                Strategy::GenericMapping,
-                SearchMode::Sequential,
-                &store
-            ),
-            Err(DseError::Arch(_))
-        ));
+        assert!(matches!(traced(&invalid, &model, &store), Err(DseError::Arch(_))));
         assert!(store.is_empty());
     }
 }

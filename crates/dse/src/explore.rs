@@ -52,15 +52,14 @@ use std::fmt;
 use std::sync::Arc;
 
 use cimflow_arch::ArchConfig;
-use cimflow_nn::{models, Model};
 use cimflow_obs::{thread_track, AttrValue, Counter, Gauge, MetricsRegistry, Tracer};
 use serde::{Content, Deserialize, Serialize};
 
 use crate::analysis::Objective;
-use crate::eval::{served_model_name, TrafficJob};
 use crate::fidelity::{
     scout_share_for, AnalyticalPricer, FeasibilityCaps, Fidelity, FidelityLadder, RankFidelity,
 };
+use crate::job::JobBuilder;
 use crate::journal::SweepJournal;
 use crate::spec::{SweepAxes, AXIS_COUNT};
 use crate::{analysis, DseError, DseOutcome, EvalService, Job, PointSpec, SweepSpec};
@@ -424,30 +423,7 @@ fn explore_inner(
             return Err(DseError::spec(format!("scout_share must be within [0, 1], got {share}")));
         }
     }
-    // Mirror `expand_jobs`: validate the workload once per run and,
-    // under co-location, resolve the whole model axis up front (an
-    // unresolvable colocated model is a spec error, never a silently
-    // shrunken mix).
-    let traffic = match &spec.space.traffic {
-        Some(section) => {
-            let served = if section.colocate { spec.space.models.len() } else { 1 };
-            section.workload.validate(served).map_err(|e| DseError::spec(e.to_string()))?;
-            let pool = if section.colocate {
-                let mut colocated = Vec::with_capacity(spec.space.models.len());
-                for m in &spec.space.models {
-                    let model = models::by_name(&m.name, m.resolution)
-                        .map(Arc::new)
-                        .ok_or_else(|| DseError::UnknownModel { name: m.name.clone() })?;
-                    colocated.push((served_model_name(&m.name, m.resolution), model));
-                }
-                Some(Arc::new(TrafficJob { workload: section.workload.clone(), colocated }))
-            } else {
-                None
-            };
-            Some((section.workload.clone(), pool))
-        }
-        None => None,
-    };
+    let jobs = JobBuilder::for_space(&spec.space)?;
     let base = spec.space.base_arch();
     let mut run = Run {
         axes,
@@ -463,9 +439,8 @@ fn explore_inner(
         points: Vec::new(),
         outcomes: Vec::new(),
         generations: Vec::new(),
-        resolved: HashMap::new(),
+        jobs,
         objective: spec.objective,
-        traffic,
         ladder: spec.ladder.clone(),
         scout_share_pin: spec.scout_share,
         caps: spec.caps,
@@ -708,13 +683,11 @@ struct Run<'s> {
     /// Full-fidelity outcomes in submission order.
     outcomes: Vec<DseOutcome>,
     generations: Vec<GenerationStats>,
-    resolved: HashMap<(String, u32), Result<Arc<Model>, DseError>>,
+    /// Resolves every submitted point into a job (models and serving
+    /// workloads built once per run).
+    jobs: JobBuilder,
     /// The objective pair selection ranks by.
     objective: Objective,
-    /// The space's serving workload, when it has a `traffic` section:
-    /// the workload plus the shared co-location pool (`None` for solo
-    /// serving — each job then serves its own model alone).
-    traffic: Option<(cimflow_traffic::WorkloadSpec, Option<Arc<TrafficJob>>)>,
     /// The proxy-fidelity ladder the search schedules over.
     ladder: FidelityLadder,
     /// A pinned scouting share (`None` = adapt from calibration).
@@ -752,32 +725,6 @@ impl Run<'_> {
         self.budget.saturating_sub(self.used)
     }
 
-    fn job_of(&mut self, point: PointSpec) -> Job {
-        let arch = point.arch(&self.base);
-        let model = self
-            .resolved
-            .entry((point.model.name.clone(), point.model.resolution))
-            .or_insert_with(|| {
-                models::by_name(&point.model.name, point.model.resolution)
-                    .map(Arc::new)
-                    .ok_or_else(|| DseError::UnknownModel { name: point.model.name.clone() })
-            })
-            .clone();
-        let traffic = self.traffic.as_ref().and_then(|(workload, pool)| match pool {
-            Some(shared) => Some(Arc::clone(shared)),
-            None => model.as_ref().ok().map(|resolved| {
-                Arc::new(TrafficJob {
-                    workload: workload.clone(),
-                    colocated: vec![(
-                        served_model_name(&point.model.name, point.model.resolution),
-                        Arc::clone(resolved),
-                    )],
-                })
-            }),
-        });
-        Job { spec: point, arch, model, traffic }
-    }
-
     /// Submits one batch through the service (journaled when attached)
     /// and waits for it; charges one budget unit per point.
     fn evaluate_batch(&mut self, points: Vec<PointSpec>) -> Result<Vec<DseOutcome>, DseError> {
@@ -785,12 +732,11 @@ impl Run<'_> {
             return Ok(Vec::new());
         }
         self.used += points.len() as u64;
-        let jobs: Vec<Job> = points.into_iter().map(|point| self.job_of(point)).collect();
+        let jobs: Vec<Job> = points.into_iter().map(|point| self.jobs.job(point)).collect();
         let batch = match &self.journal {
             Some(journal) => self.service.submit_jobs_journaled(jobs, journal),
             None => self.service.submit_jobs(jobs),
-        }
-        .map_err(|rejected| DseError::io(format!("exploration batch rejected: {rejected}")))?;
+        }?;
         Ok(batch.wait())
     }
 

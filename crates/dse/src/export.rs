@@ -209,7 +209,7 @@ fn csv_escape(field: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EvalCache, Executor, SweepSpec};
+    use crate::{EvalService, ServiceConfig, SweepSpec};
     use cimflow_compiler::Strategy;
 
     fn outcomes() -> Vec<DseOutcome> {
@@ -217,7 +217,7 @@ mod tests {
             .with_model("mobilenetv2", 32)
             .with_strategies(&[Strategy::GenericMapping])
             .with_mg_sizes(&[8, 0]); // one valid point, one invalid
-        Executor::sequential().run_spec(&spec, &EvalCache::new()).unwrap()
+        EvalService::new(ServiceConfig::new().with_workers(1)).submit_sweep(&spec).unwrap().wait()
     }
 
     #[test]
@@ -274,7 +274,8 @@ mod tests {
             .with_model("mobilenetv2", 32)
             .with_strategies(&[Strategy::GenericMapping])
             .with_traffic(TrafficSpec::new(&[100]).with_workload(workload));
-        let outcomes = Executor::sequential().run_spec(&spec, &EvalCache::new()).unwrap();
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let outcomes = service.submit_sweep(&spec).unwrap().wait();
         let rows = rows(&outcomes);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].offered_qps, 100);

@@ -35,8 +35,9 @@ use serde::{Content, Deserialize, Serialize};
 
 use crate::analysis;
 use crate::eval::Evaluation;
+use crate::job::JobBuilder;
 use crate::spec::{PointSpec, SweepAxes};
-use crate::{DseError, DseOutcome, EvalService, Job};
+use crate::{DseError, DseOutcome, EvalService};
 
 /// Pairs a `(model, rung)` must graduate before its Kendall tau is
 /// trusted; below this the scheduler keeps the uncalibrated default.
@@ -127,7 +128,8 @@ impl Fidelity {
     ///
     /// # Errors
     ///
-    /// Returns [`DseError::UnknownModel`] for an unresolvable model and
+    /// Returns the resolution error of a model the zoo cannot build
+    /// ([`DseError::UnknownModel`] or [`DseError::Model`]) and
     /// [`DseError::Io`] when the service refuses the submission.
     pub fn price(
         &self,
@@ -139,15 +141,11 @@ impl Fidelity {
             let mut pricer = AnalyticalPricer::new(*base);
             return Ok(ProxyScore { rung: self.name(), objectives: pricer.objectives(point) });
         }
-        let projected = self.project(point);
-        let arch = projected.arch(base);
-        let model = models::by_name(&projected.model.name, projected.model.resolution)
-            .map(Arc::new)
-            .ok_or_else(|| DseError::UnknownModel { name: projected.model.name.clone() })?;
-        let batch = service
-            .submit_jobs(vec![Job { spec: projected, arch, model: Ok(model), traffic: None }])
-            .map_err(|rejected| DseError::io(format!("price submission rejected: {rejected}")))?;
-        let outcome = batch.wait().pop().expect("one job in, one outcome out");
+        let job = JobBuilder::new(*base).job(self.project(point));
+        if let Err(e) = &job.model {
+            return Err(e.clone());
+        }
+        let outcome = service.submit_jobs(vec![job])?.wait().pop().expect("one job in, one out");
         let objectives = outcome
             .evaluation()
             .map(|e| (e.simulation.total_cycles, e.simulation.energy_mj()))
@@ -345,6 +343,7 @@ impl AnalyticalPricer {
             .entry(key)
             .or_insert_with(|| {
                 models::by_name(&point.model.name, point.model.resolution)
+                    .ok()
                     .and_then(|model| CondensedGraph::from_graph(&model.graph).ok())
                     .map(Arc::new)
             })

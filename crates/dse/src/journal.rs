@@ -439,10 +439,11 @@ impl SweepJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate, EvalCache, Executor, SweepSpec};
+    use crate::{evaluate, EvalCache, EvalService, ServiceConfig, SweepSpec};
     use cimflow_arch::ArchConfig;
     use cimflow_compiler::{SearchMode, Strategy};
     use cimflow_nn::models;
+    use std::sync::Arc;
 
     fn journal_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("cimflow-dse-journal-test");
@@ -459,13 +460,20 @@ mod tests {
             .with_mg_sizes(&[4, 8])
     }
 
+    /// Runs `spec` journaled at `path` on a fresh `workers`-thread
+    /// service over `cache`.
+    fn run(spec: &SweepSpec, workers: usize, cache: &EvalCache, path: &Path) -> Vec<DseOutcome> {
+        let journal = Arc::new(SweepJournal::open(path).unwrap());
+        let service =
+            EvalService::with_cache(ServiceConfig::new().with_workers(workers), cache.clone());
+        service.submit_sweep_journaled(spec, &journal).unwrap().wait()
+    }
+
     #[test]
     fn interrupted_sweeps_resume_from_the_journal() {
         let path = journal_path("resume.jsonl");
         // First run journals both points.
-        let outcomes = Executor::with_workers(2)
-            .run_spec_journaled(&spec(), &EvalCache::new(), &path)
-            .unwrap();
+        let outcomes = run(&spec(), 2, &EvalCache::new(), &path);
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes.iter().all(|o| o.result.is_ok() && !o.cached));
         assert_eq!(SweepJournal::open(&path).unwrap().len(), 2);
@@ -473,7 +481,7 @@ mod tests {
         // "Interrupted" re-run on a *cold* cache: every point is served
         // from the journal — zero evaluations, zero cache misses.
         let cache = EvalCache::new();
-        let resumed = Executor::sequential().run_spec_journaled(&spec(), &cache, &path).unwrap();
+        let resumed = run(&spec(), 1, &cache, &path);
         assert!(resumed.iter().all(|o| o.cached), "journaled points must not re-run");
         assert_eq!(cache.stats().misses, 0);
         for (a, b) in outcomes.iter().zip(&resumed) {
@@ -493,9 +501,7 @@ mod tests {
         let path = journal_path("partial.jsonl");
         let wide = spec().with_mg_sizes(&[4, 8, 16]);
         // Journal only the mg=4 point, then "crash".
-        Executor::sequential()
-            .run_spec_journaled(&spec().with_mg_sizes(&[4]), &EvalCache::new(), &path)
-            .unwrap();
+        run(&spec().with_mg_sizes(&[4]), 1, &EvalCache::new(), &path);
         // Corrupt the tail the way a killed process would.
         {
             use std::io::Write as _;
@@ -503,7 +509,7 @@ mod tests {
             write!(file, "{{\"key\": {{\"arch\": 1, \"mo").unwrap();
         }
         let cache = EvalCache::new();
-        let outcomes = Executor::with_workers(2).run_spec_journaled(&wide, &cache, &path).unwrap();
+        let outcomes = run(&wide, 2, &cache, &path);
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].cached, "the journaled point resumes");
         assert!(!outcomes[1].cached && !outcomes[2].cached, "unjournaled points run");
@@ -521,8 +527,7 @@ mod tests {
             .with_model("mobilenetv2", 32)
             .with_strategies(&[Strategy::GenericMapping])
             .with_mg_sizes(&[0]);
-        let outcomes =
-            Executor::sequential().run_spec_journaled(&bad, &EvalCache::new(), &path).unwrap();
+        let outcomes = run(&bad, 1, &EvalCache::new(), &path);
         assert!(outcomes[0].result.is_err());
         let journal = SweepJournal::open(&path).unwrap();
         assert_eq!(journal.len(), 0, "failures are not resumable");

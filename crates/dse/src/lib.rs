@@ -12,12 +12,17 @@
 //!    JSON config files, not code.
 //! 2. **Expand** — the spec expands deterministically into [`PointSpec`]
 //!    grid points and concrete [`Job`]s.
-//! 3. **Execute** — an [`Executor`] fans the jobs out across a worker
-//!    pool; every point's failure is captured in its [`DseOutcome`]
-//!    instead of aborting the sweep, and results keep grid order.
+//! 3. **Evaluate** — an [`EvalService`] owns the worker pool: a sweep is
+//!    submitted as one batch ([`EvalService::submit_sweep`]) and waited
+//!    on through its [`BatchHandle`]. Every point's failure is captured
+//!    in its [`DseOutcome`] instead of aborting the sweep, and results
+//!    keep grid order. Timing-only points share one recorded trace and
+//!    are re-timed by replay; [`explore`] drives the same service
+//!    adaptively instead of exhaustively.
 //! 4. **Memoize** — a content-hashed [`EvalCache`] (keyed by
 //!    architecture, model and strategy content) makes repeated points —
-//!    common across figures and warm re-runs — a map lookup.
+//!    common across figures and warm re-runs — a map lookup; pass one
+//!    cache to several services with [`EvalService::with_cache`].
 //! 5. **Analyze/export** — Pareto-frontier extraction over
 //!    (cycles, energy), best-per-model selection, CSV/JSON exporters.
 //!
@@ -27,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use cimflow_dse::{analysis, Executor, EvalCache, SweepSpec};
+//! use cimflow_dse::{analysis, EvalCache, EvalService, ServiceConfig, SweepSpec};
 //! use cimflow_compiler::Strategy;
 //!
 //! # fn main() -> Result<(), cimflow_dse::DseError> {
@@ -36,9 +41,11 @@
 //!     .with_strategies(&[Strategy::GenericMapping])
 //!     .with_mg_sizes(&[4, 8]);
 //! let cache = EvalCache::new();
-//! let outcomes = Executor::with_workers(2).run_spec(&spec, &cache)?;
+//! let service = EvalService::with_cache(ServiceConfig::new().with_workers(2), cache.clone());
+//! let outcomes = service.submit_sweep(&spec)?.wait();
 //! assert_eq!(outcomes.len(), 2);
 //! assert!(!analysis::pareto_frontier(&outcomes).is_empty());
+//! assert_eq!(cache.len(), 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -50,10 +57,10 @@ pub mod analysis;
 mod cache;
 mod error;
 mod eval;
-mod executor;
 mod explore;
 pub mod export;
 mod fidelity;
+mod job;
 mod journal;
 pub mod serve;
 mod service;
@@ -65,11 +72,7 @@ pub use cache::{
     CACHE_ENGINE_VERSION, CACHE_FORMAT_VERSION,
 };
 pub use error::DseError;
-pub use eval::{
-    evaluate, evaluate_traced, evaluate_with_search, EvalPath, Evaluation, ServingSummary,
-    TrafficJob,
-};
-pub use executor::{expand_jobs, run_sweep, DseOutcome, Executor, Job, Progress};
+pub use eval::{evaluate, evaluate_with_search, EvalPath, Evaluation, ServingSummary, TrafficJob};
 pub use explore::{
     explore, explore_journaled, ExploreAlgorithm, ExploreReport, ExploreSpec, GenerationStats,
     COARSE_RESOLUTION, DEFAULT_SEED,
@@ -78,6 +81,7 @@ pub use fidelity::{
     kendall_tau, mean_power_w, scout_share_for, AnalyticalPricer, FeasibilityCaps, Fidelity,
     FidelityLadder, ProxyScore, RankFidelity, DEFAULT_SCOUT_SHARE, MIN_CALIBRATION_SAMPLES,
 };
+pub use job::{expand_jobs, DseOutcome, Job, Progress};
 pub use journal::{CompactionStats, SweepJournal, JOURNAL_FORMAT_VERSION};
 pub use service::{
     BatchHandle, EvalRequest, EvalService, JobEvent, JobHandle, JobStatus, Priority, Rejected,

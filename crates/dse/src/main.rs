@@ -66,7 +66,7 @@ use cimflow_dse::analysis::Objective;
 use cimflow_dse::serve::{serve_stdio, TcpServer};
 use cimflow_dse::{
     analysis, explore, explore_journaled, export, DseError, DseOutcome, EvalCache, EvalService,
-    Executor, ExploreAlgorithm, ExploreSpec, FeasibilityCaps, Fidelity, FidelityLadder, Progress,
+    ExploreAlgorithm, ExploreSpec, FeasibilityCaps, Fidelity, FidelityLadder, Progress,
     ServiceConfig, SweepJournal, SweepSpec,
 };
 use cimflow_obs::{
@@ -567,30 +567,31 @@ fn run_sweep(args: &SweepArgs) -> Result<ExitCode, DseError> {
         None => EvalCache::new(),
     };
     let obs = ObsSink::new(&args.trace_out, &args.metrics_out);
-    let mut executor = match args.workers.or(spec.workers) {
-        Some(workers) => Executor::with_workers(workers),
-        None => Executor::new(),
-    }
-    .with_metrics(obs.registry.clone());
+    let workers = args.workers.or(spec.workers).unwrap_or_else(|| ServiceConfig::new().workers);
+    // Never more workers than points: idle threads buy a sweep nothing.
+    let mut config = ServiceConfig::new()
+        .with_workers(workers.min(spec.point_count().max(1)))
+        .with_metrics(obs.registry.clone());
     if let Some(tracer) = &obs.tracer {
-        executor = executor.with_tracer(tracer.clone());
+        config = config.with_tracer(tracer.clone());
     }
 
     let reporter = Reporter::stdout(args.quiet);
     reporter.note(&format!(
         "sweep `{name}`: {} points on {} worker(s), {} cached evaluation(s) loaded",
         spec.point_count(),
-        executor.workers(),
+        workers.max(1),
         cache.len()
     ));
 
     let started = Instant::now();
-    let outcomes = match &args.journal {
-        Some(path) => {
-            executor.run_spec_journaled_with_progress(&spec, &cache, path, |p| reporter.point(p))?
-        }
-        None => executor.run_spec_with_progress(&spec, &cache, |p| reporter.point(p))?,
+    let journal = args.journal.as_deref().map(SweepJournal::open).transpose()?.map(Arc::new);
+    let service = EvalService::with_cache(config, cache.clone());
+    let batch = match &journal {
+        Some(journal) => service.submit_sweep_journaled(&spec, journal)?,
+        None => service.submit_sweep(&spec)?,
     };
+    let outcomes = batch.wait_with(|p| reporter.point(p));
     let elapsed = started.elapsed();
 
     let succeeded = outcomes.iter().filter(|o| o.result.is_ok()).count();
@@ -639,13 +640,7 @@ fn run_sweep(args: &SweepArgs) -> Result<ExitCode, DseError> {
         reporter.machine(&format!("saved cache ({} entries) -> {}", cache.len(), path.display()));
     }
 
-    // The executor's per-run services are gone by now, so mirror the
-    // cache gauges here the way a live service does at snapshot time.
-    obs.registry.gauge("cache.hits").set(stats.hits as i64);
-    obs.registry.gauge("cache.misses").set(stats.misses as i64);
-    obs.registry.gauge("cache.coalesced").set(stats.coalesced as i64);
-    obs.registry.gauge("cache.entries").set(cache.len() as i64);
-    obs.write(&reporter, &obs.registry.snapshot().render_prometheus())?;
+    obs.write(&reporter, &service.render_metrics())?;
 
     Ok(if succeeded > 0 { ExitCode::SUCCESS } else { ExitCode::from(2) })
 }

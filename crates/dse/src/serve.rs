@@ -806,6 +806,16 @@ impl TcpServer {
     ///
     /// Propagates the bind failure.
     pub fn spawn(service: Arc<EvalService>, port: u16) -> std::io::Result<Self> {
+        Self::spawn_polling(service, port, ACCEPT_POLL)
+    }
+
+    /// [`Self::spawn`] with an explicit cadence at which the idle accept
+    /// loop re-checks the non-blocking listener for new connections.
+    fn spawn_polling(
+        service: Arc<EvalService>,
+        port: u16,
+        poll: Duration,
+    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -834,7 +844,7 @@ impl TcpServer {
                             // cadence for *new connections*, but the latch
                             // wait means a shutdown interrupts the pause
                             // immediately instead of sleeping through it.
-                            if accept_stop.wait_timeout(ACCEPT_POLL) {
+                            if accept_stop.wait_timeout(poll) {
                                 break;
                             }
                         }
@@ -1094,6 +1104,75 @@ mod tests {
             other => panic!("expected a batch result, got {other:?}"),
         }
         assert!(matches!(&responses[3], Response::Error { .. }), "unknown ids get an error");
+    }
+
+    #[test]
+    fn shutdown_wakes_the_idle_accept_loop_through_the_latch() {
+        // With an hour-long poll cadence only the latch's condvar can end
+        // the accept loop's idle wait, so this returning proves the
+        // wake-up is event-driven: a lost notification hangs here instead
+        // of passing a poll interval late.
+        let service = Arc::new(EvalService::new(ServiceConfig::new().with_workers(1)));
+        let server = TcpServer::spawn_polling(service, 0, Duration::from_secs(3600)).unwrap();
+        // A connection's shutdown request raises the latch from another
+        // thread; the waiter and the accept loop both wake on it.
+        let latch = Arc::clone(&server.stop);
+        let requester = std::thread::spawn(move || latch.set());
+        server.wait_for_shutdown();
+        requester.join().unwrap();
+    }
+
+    #[test]
+    fn unbuildable_models_get_error_outcomes_and_the_connection_keeps_serving() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        // Each of these used to panic the connection thread (and with it
+        // a stdio server) inside the model builder.
+        let input = [
+            r#"{"submit":{"model":{"name":"mobilenetv2","resolution":0},"strategy":"dp"}}"#,
+            r#"{"wait":{"job":1}}"#,
+            r#"{"sweep":{"spec":{"models":[{"name":"resnet18","resolution":0}],"strategies":["dp"]}}}"#,
+            r#"{"wait":{"batch":1}}"#,
+            r#"{"submit":{"model":{"name":"vgg19","resolution":16},"strategy":"generic"}}"#,
+            r#"{"wait":{"job":3}}"#,
+            r#"{"submit":{"model":{"name":"mobilenetv2","resolution":32},"strategy":"generic"}}"#,
+            r#"{"wait":{"job":4}}"#,
+        ]
+        .join("\n");
+        let responses = responses(&service, &input);
+        assert_eq!(responses.len(), 8, "every line is answered");
+        let failed = |response: &Response, px: &str| match response {
+            Response::Result(outcome) => {
+                assert!(!outcome.ok);
+                let error = outcome.error.as_deref().unwrap_or_default();
+                assert!(error.contains(px), "{error}");
+            }
+            other => panic!("expected a failed result, got {other:?}"),
+        };
+        failed(&responses[1], "0 px");
+        match &responses[3] {
+            Response::BatchResult { outcomes, .. } => {
+                assert_eq!(outcomes.len(), 1);
+                assert!(!outcomes[0].ok);
+            }
+            other => panic!("expected a batch result, got {other:?}"),
+        }
+        failed(&responses[5], "16 px");
+        match &responses[7] {
+            Response::Result(outcome) => assert!(outcome.ok, "the next valid request is answered"),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overly_nested_lines_get_an_error_reply_and_the_connection_keeps_serving() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        let input = format!("{}\n{}\n", "[".repeat(200_000), r#"{"stats":{}}"#);
+        let responses = responses(&service, &input);
+        match &responses[0] {
+            Response::Error { message } => assert!(message.contains("nesting"), "{message}"),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        assert!(matches!(&responses[1], Response::Stats { .. }));
     }
 
     #[test]

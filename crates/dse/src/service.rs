@@ -6,16 +6,16 @@
 //!
 //! This is the **one pipeline** behind every evaluation surface:
 //!
-//! * the blocking [`Executor`](crate::Executor) is a thin wrapper that
-//!   submits a batch to an ephemeral service and waits for it;
+//! * in-process sweeps submit a batch and wait on its handle (the
+//!   `cimflow-dse` CLI, the figure harnesses, [`explore`](crate::explore));
 //! * the `cimflow-dse serve` subcommand (and the `cimflow-serve` client
 //!   crate) speak a JSON protocol straight onto a long-lived service;
 //! * the `cimflow` facade re-exports the service types.
 //!
-//! The module lives in `cimflow-dse` (rather than in the `cimflow-serve`
-//! crate) so the executor can be rebased on it without a crate cycle;
-//! `cimflow-serve` re-exports everything here and adds the network front
-//! end.
+//! Every submission goes through one admission path, and every worker
+//! claim — a solo point or a drained fast-path group — through one claim
+//! evaluator over one family evaluator. `cimflow-serve` re-exports
+//! everything here and adds the network front end.
 //!
 //! # Admission control
 //!
@@ -26,10 +26,9 @@
 //! backlog is full, and per-tenant quotas
 //! ([`ServiceConfig::with_tenant_quota`]) cap how many points one tenant
 //! may have in flight so a single heavy tenant cannot starve the others.
-//! The executor-compatibility surfaces
+//! The trusted in-process batch surfaces
 //! ([`submit_jobs`](EvalService::submit_jobs),
-//! [`submit_sweep`](EvalService::submit_sweep)) bypass admission — they
-//! serve trusted in-process batch callers.
+//! [`submit_sweep`](EvalService::submit_sweep)) bypass admission.
 //!
 //! # Coalescing
 //!
@@ -64,17 +63,18 @@ use std::time::{Duration, Instant};
 
 use cimflow_arch::ArchConfig;
 use cimflow_compiler::{SearchMode, Strategy};
-use cimflow_nn::models;
 use cimflow_obs::{
     thread_track, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Tracer,
 };
 use serde::{Deserialize, Serialize};
 
+use crate::eval::{evaluate_family, serve_rates};
+use crate::job::JobBuilder;
 use crate::journal::SweepJournal;
 use crate::trace_store::{TraceKey, TraceStore};
 use crate::{
-    traffic_fingerprint, CacheKey, DseError, DseOutcome, EvalCache, EvalPath, Job, ModelSpec,
-    PointSpec, Progress, SweepSpec,
+    traffic_fingerprint, CacheKey, DseError, DseOutcome, EvalCache, EvalPath, Evaluation, Job,
+    ModelSpec, PointSpec, Progress, SweepSpec,
 };
 
 /// Tenant name used when a request does not set one.
@@ -141,8 +141,10 @@ impl serde::Deserialize for Priority {
 /// Every architecture field left `None` pins the corresponding parameter
 /// to the base architecture (the paper's Table I default unless
 /// [`base`](Self::base) overrides it) — the same semantics as an empty
-/// [`SweepSpec`] axis. Unknown model names are *accepted* and surface as
-/// a per-job [`DseError::UnknownModel`] outcome, mirroring the executor.
+/// [`SweepSpec`] axis. Unknown model names (and resolutions the model
+/// cannot be built at) are *accepted* and surface as a per-job
+/// [`DseError::UnknownModel`] ([`DseError::Model`]) outcome, like a sweep
+/// point's.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalRequest {
     /// The model to evaluate.
@@ -318,23 +320,11 @@ impl EvalRequest {
     /// Resolves the request into a schedulable job (model resolution
     /// failures stay inside the job, like [`expand_jobs`](crate::expand_jobs)).
     pub(crate) fn to_job(&self) -> Job {
-        let base = self.base_arch();
-        let spec = self.point();
-        let arch = spec.arch(&base);
-        let model = models::by_name(&spec.model.name, spec.model.resolution)
-            .map(Arc::new)
-            .ok_or_else(|| DseError::UnknownModel { name: spec.model.name.clone() });
-        let traffic = match (&self.traffic, &model) {
-            (Some(traffic), Ok(resolved)) => Some(Arc::new(crate::eval::TrafficJob {
-                workload: traffic.workload.clone().unwrap_or_default(),
-                colocated: vec![(
-                    crate::eval::served_model_name(&spec.model.name, spec.model.resolution),
-                    Arc::clone(resolved),
-                )],
-            })),
-            _ => None,
-        };
-        Job { spec, arch, model, traffic }
+        let mut builder = JobBuilder::new(self.base_arch());
+        if let Some(traffic) = &self.traffic {
+            builder = builder.serving(traffic.workload.clone().unwrap_or_default());
+        }
+        builder.job(self.point())
     }
 }
 
@@ -590,12 +580,10 @@ struct Entry {
     job: Job,
     tenant: Option<String>,
     priority: Priority,
-    /// Evaluate through the shared [`TraceStore`] (set for batch points
-    /// whose trace group has at least two members, so singletons never
-    /// pay the recording overhead).
-    traced: bool,
     /// The fast-path group this entry belongs to (set only for batch
-    /// points whose group has at least two live members).
+    /// points whose group has at least two live members). Grouped
+    /// entries evaluate through the shared [`TraceStore`]; singletons
+    /// never pay the recording overhead.
     group: Option<GroupKey>,
     /// Admission time, the basis of the queue-wait histogram.
     submitted_at: Instant,
@@ -722,44 +710,35 @@ struct Shared {
 
 const STATE_POISONED: &str = "service state poisoned";
 
-/// Runs one job through the shared pipeline (cache lookup or full
-/// compile → simulate). When `traces` is set the evaluation goes through
-/// [`evaluate_traced`](crate::evaluate_traced) — the first point of a
-/// trace group records, the rest replay bit-exactly. Panics inside the
-/// evaluator are converted into per-point errors so a bad point cannot
-/// kill a long-lived worker.
-pub(crate) fn run_point(job: &Job, cache: &EvalCache, traces: Option<&TraceStore>) -> DseOutcome {
+/// Runs one job through the shared pipeline: a cache lookup, or a full
+/// evaluation as a family of one. With `traces` set the point goes
+/// through the shared [`TraceStore`] (the first point of a trace group
+/// records, later ones replay bit-exactly). Panics inside the evaluator
+/// are converted into per-point errors so a bad point cannot kill a
+/// long-lived worker.
+fn run_point(job: &Job, cache: &EvalCache, traces: Option<&TraceStore>) -> DseOutcome {
     let (result, cached) = match &job.model {
         Err(e) => (Err(e.clone()), false),
         Ok(model) => {
             let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let key = job.cache_key().expect("a resolved model always has a cache key");
+                let (strategy, search) = (job.spec.strategy, job.spec.search);
                 cache.get_or_insert_with(key, || {
-                    let mut evaluation = match traces {
-                        Some(traces) => crate::evaluate_traced(
-                            &job.arch,
-                            model,
-                            job.spec.strategy,
-                            job.spec.search,
-                            traces,
-                        ),
-                        None => crate::evaluate_with_search(
-                            &job.arch,
-                            model,
-                            job.spec.strategy,
-                            job.spec.search,
-                        ),
-                    }?;
+                    let (mut family, _) =
+                        evaluate_family(model, strategy, search, &[job.arch], traces);
+                    let mut evaluation = family.pop().expect("one point in, one result out")?;
                     if let Some(traffic) = job.active_traffic() {
-                        evaluation.serving = Some(crate::eval::serve_point(
+                        let mut served = serve_rates(
                             &job.arch,
-                            job.spec.strategy,
-                            job.spec.search,
+                            strategy,
+                            search,
                             traffic,
-                            job.spec.offered_qps,
+                            &[job.spec.offered_qps],
                             &job.spec.model,
                             traces,
-                        )?);
+                        )?;
+                        evaluation.serving =
+                            Some(served.pop().expect("one rate in, one summary out")?);
                     }
                     Ok(evaluation)
                 })
@@ -779,6 +758,132 @@ pub(crate) fn run_point(job: &Job, cache: &EvalCache, traces: Option<&TraceStore
         }
     };
     DseOutcome { point: job.spec.clone(), result, cached }
+}
+
+/// Answers one claim; a solo claim is a group of one.
+///
+/// A trace group's leader runs the solo path first (recording the trace
+/// on a store miss); the members re-time it through **one**
+/// [`evaluate_family`] walk instead of per-point replays. A drained rate
+/// ladder instead prices every rung off one shared design evaluation and
+/// one [`serve_rates`] call that resolves the co-located singles once.
+/// Members answered by earlier submissions are cache hits. A member the
+/// batched call does not answer — a refused lane, a failed rung, a group
+/// whose trace is gone, a panic inside the engine — falls back to the
+/// solo path: the batching never changes results, only how many passes
+/// they cost.
+fn run_claim(shared: &Shared, claim: &Claim) -> Vec<DseOutcome> {
+    let members = &claim.members;
+    let traces = claim.group.as_ref().map(|_| &shared.traces);
+    let solo = |i: usize| run_point(&members[i].job, &shared.cache, traces);
+    let ladder = members.len() > 1 && matches!(claim.group, Some(GroupKey::Ladder(..)));
+    let mut outcomes: Vec<Option<DseOutcome>> = members.iter().map(|_| None).collect();
+    if !ladder {
+        outcomes[0] = Some(solo(0));
+    }
+    // Cache pre-check: members answered by earlier submissions are hits.
+    let mut pending: Vec<usize> = Vec::new();
+    for (i, member) in members.iter().enumerate().skip(usize::from(!ladder)) {
+        let cache_key = member.job.cache_key().expect("grouped jobs have resolved models");
+        match shared.cache.get(&cache_key) {
+            Some(evaluation) => {
+                outcomes[i] = Some(DseOutcome {
+                    point: member.job.spec.clone(),
+                    result: Ok(evaluation),
+                    cached: true,
+                });
+            }
+            None => pending.push(i),
+        }
+    }
+    // A panic inside the engine downgrades the claim to solo runs (which
+    // carry their own panic containment).
+    let answered = if pending.is_empty() {
+        None
+    } else {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            answer_pending(shared, claim, &pending, ladder)
+        }))
+        .ok()
+        .flatten()
+    };
+    match answered {
+        Some(evaluations) => {
+            for (&i, evaluation) in pending.iter().zip(evaluations) {
+                let member = &members[i];
+                outcomes[i] = Some(match evaluation {
+                    Ok(evaluation) => {
+                        let cache_key = member.job.cache_key().expect("grouped jobs have keys");
+                        let (result, cached) =
+                            match shared.cache.get_or_insert_with(cache_key, || Ok(evaluation)) {
+                                Ok((evaluation, was_hit)) => (Ok(evaluation), was_hit),
+                                Err(e) => (Err(e), false),
+                            };
+                        DseOutcome { point: member.job.spec.clone(), result, cached }
+                    }
+                    Err(_) => solo(i),
+                });
+            }
+        }
+        None => {
+            for &i in &pending {
+                outcomes[i] = Some(solo(i));
+            }
+        }
+    }
+    outcomes.into_iter().map(|outcome| outcome.expect("every member answered")).collect()
+}
+
+/// Answers a claim's pending members with one batched call: a rate
+/// ladder's rungs off one shared design evaluation and one
+/// [`serve_rates`] call, a trace group's members through one
+/// [`evaluate_family`] walk over the leader's stored trace. `None` sends
+/// every pending member down the solo path.
+fn answer_pending(
+    shared: &Shared,
+    claim: &Claim,
+    pending: &[usize],
+    ladder: bool,
+) -> Option<Vec<Result<Evaluation, DseError>>> {
+    let members = &claim.members;
+    let traces = Some(&shared.traces);
+    let lead = &members[pending[0]].job;
+    let model = lead.model.as_ref().ok()?;
+    let (strategy, search) = (lead.spec.strategy, lead.spec.search);
+    if ladder {
+        let traffic = lead.active_traffic()?;
+        let (mut base, _) = evaluate_family(model, strategy, search, &[lead.arch], traces);
+        let base = base.pop()?.ok()?;
+        let rates: Vec<u64> = pending.iter().map(|&i| members[i].job.spec.offered_qps).collect();
+        let summaries =
+            serve_rates(&lead.arch, strategy, search, traffic, &rates, &lead.spec.model, traces)
+                .ok()?;
+        let rungs = summaries.into_iter().enumerate().map(|(slot, summary)| {
+            summary.map(|summary| {
+                let mut evaluation = base.clone();
+                // The first fresh rung carries the shared evaluation's
+                // provenance (it may have recorded); later rungs replay
+                // that work.
+                if slot > 0 {
+                    evaluation.eval_path = EvalPath::Replayed;
+                }
+                evaluation.serving = Some(summary);
+                evaluation
+            })
+        });
+        return Some(rungs.collect());
+    }
+    // The members replay the leader's trace; without one (evicted, or the
+    // leader failed or hit the cache before recording) they all take the
+    // solo path.
+    let Some(GroupKey::Trace(key)) = &claim.group else { return None };
+    shared.traces.get(key)?;
+    let arches: Vec<ArchConfig> = pending.iter().map(|&i| members[i].job.arch).collect();
+    let (evaluations, stats) = evaluate_family(model, strategy, search, &arches, traces);
+    shared.obs.lockstep_batches.add(stats.batches);
+    shared.obs.lockstep_lanes.add(stats.lanes);
+    shared.obs.lockstep_fallbacks.add(stats.fallback_lanes);
+    Some(evaluations)
 }
 
 /// Marks `id` terminal, updates quota/stat accounting, streams events and
@@ -882,7 +987,7 @@ struct Claim {
     members: Vec<ClaimedMember>,
     tenant: String,
     priority: Priority,
-    traced: bool,
+    /// The group the claim drained; traced evaluation follows from it.
     group: Option<GroupKey>,
 }
 
@@ -901,191 +1006,6 @@ fn claim_entry(st: &mut State, id: u64) -> ClaimedMember {
         journal: entry.journal.clone(),
         queue_wait: entry.submitted_at.elapsed(),
     }
-}
-
-/// Answers a drained trace group: the leader runs the standard traced
-/// pipeline (recording the trace on a store miss), then every remaining
-/// member is re-timed through **one** lockstep
-/// [`replay_batch`](cimflow_sim::ReplayEngine::replay_batch) call instead
-/// of per-point replays. Members the batch call refuses, and groups whose
-/// trace is unavailable, fall back to the solo path — the fast path never
-/// changes results, only how many passes over the trace they cost.
-fn run_trace_group(shared: &Shared, members: &[ClaimedMember], key: TraceKey) -> Vec<DseOutcome> {
-    let mut outcomes: Vec<Option<DseOutcome>> = members.iter().map(|_| None).collect();
-    // The leader seeds the trace store (or replays an existing trace).
-    outcomes[0] = Some(run_point(&members[0].job, &shared.cache, Some(&shared.traces)));
-    // Cache pre-check: members answered by earlier submissions are hits.
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, member) in members.iter().enumerate().skip(1) {
-        let cache_key = member.job.cache_key().expect("grouped jobs have resolved models");
-        match shared.cache.get(&cache_key) {
-            Some(evaluation) => {
-                outcomes[i] = Some(DseOutcome {
-                    point: member.job.spec.clone(),
-                    result: Ok(evaluation),
-                    cached: true,
-                });
-            }
-            None => pending.push(i),
-        }
-    }
-    if !pending.is_empty() {
-        let replayed = shared.traces.get(&key).and_then(|entry| {
-            let job = &members[pending[0]].job;
-            let model = job.model.as_ref().ok()?;
-            let arches: Vec<ArchConfig> = pending.iter().map(|&i| members[i].job.arch).collect();
-            // One batched walk for every pending member. A panic inside
-            // the engine downgrades the group to solo runs (which carry
-            // their own panic containment).
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::eval::evaluate_replay_group(
-                    &entry,
-                    model,
-                    job.spec.strategy,
-                    job.spec.search,
-                    &arches,
-                )
-            }))
-            .ok()
-        });
-        match replayed {
-            Some((evaluations, stats)) => {
-                shared.obs.lockstep_batches.add(stats.batches);
-                shared.obs.lockstep_lanes.add(stats.lanes);
-                shared.obs.lockstep_fallbacks.add(stats.fallback_lanes);
-                let served = evaluations.iter().filter(|e| e.is_ok()).count() as u64;
-                shared.traces.note_reuse(served);
-                for (&i, evaluation) in pending.iter().zip(evaluations) {
-                    let member = &members[i];
-                    outcomes[i] = match evaluation {
-                        Ok(evaluation) => {
-                            let cache_key = member.job.cache_key().expect("grouped jobs have keys");
-                            match shared.cache.get_or_insert_with(cache_key, || Ok(evaluation)) {
-                                Ok((evaluation, was_hit)) => Some(DseOutcome {
-                                    point: member.job.spec.clone(),
-                                    result: Ok(evaluation),
-                                    cached: was_hit,
-                                }),
-                                Err(e) => Some(DseOutcome {
-                                    point: member.job.spec.clone(),
-                                    result: Err(e),
-                                    cached: false,
-                                }),
-                            }
-                        }
-                        // The engine refused this lane (it never
-                        // approximates): the standard per-point path
-                        // decides what to do with the point.
-                        Err(_) => Some(run_point(&member.job, &shared.cache, Some(&shared.traces))),
-                    };
-                }
-            }
-            // No stored trace (evicted, or the leader failed before
-            // recording): every member runs the standard path.
-            None => {
-                for &i in &pending {
-                    outcomes[i] =
-                        Some(run_point(&members[i].job, &shared.cache, Some(&shared.traces)));
-                }
-            }
-        }
-    }
-    outcomes.into_iter().map(|outcome| outcome.expect("every member answered")).collect()
-}
-
-/// Answers a drained rate-ladder group: one shared design evaluation plus
-/// one [`serve_ladder`](cimflow_sim::Simulator::serve_ladder) call that
-/// pins the co-located program sources and resolves their
-/// single-inference reports **once** for every rung of the ladder.
-/// Rung-level failures (and a failed ladder) fall back to the solo path.
-fn run_ladder_group(shared: &Shared, members: &[ClaimedMember]) -> Vec<DseOutcome> {
-    let mut outcomes: Vec<Option<DseOutcome>> = members.iter().map(|_| None).collect();
-    // Cache pre-check: rungs answered by earlier submissions are hits.
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, member) in members.iter().enumerate() {
-        let cache_key = member.job.cache_key().expect("grouped jobs have resolved models");
-        match shared.cache.get(&cache_key) {
-            Some(evaluation) => {
-                outcomes[i] = Some(DseOutcome {
-                    point: member.job.spec.clone(),
-                    result: Ok(evaluation),
-                    cached: true,
-                });
-            }
-            None => pending.push(i),
-        }
-    }
-    let solo = |i: usize| run_point(&members[i].job, &shared.cache, Some(&shared.traces));
-    if !pending.is_empty() {
-        let lead = &members[pending[0]].job;
-        let rates: Vec<u64> = pending.iter().map(|&i| members[i].job.spec.offered_qps).collect();
-        let group = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let model = lead.model.as_ref().ok()?;
-            let traffic = lead.active_traffic()?;
-            let evaluation = crate::evaluate_traced(
-                &lead.arch,
-                model,
-                lead.spec.strategy,
-                lead.spec.search,
-                &shared.traces,
-            )
-            .ok()?;
-            let summaries = crate::eval::serve_ladder_points(
-                &lead.arch,
-                lead.spec.strategy,
-                lead.spec.search,
-                traffic,
-                &rates,
-                &lead.spec.model,
-                Some(&shared.traces),
-            )
-            .ok()?;
-            Some((evaluation, summaries))
-        }))
-        .ok()
-        .flatten();
-        match group {
-            Some((base, summaries)) => {
-                for (slot, (&i, summary)) in pending.iter().zip(summaries).enumerate() {
-                    let member = &members[i];
-                    outcomes[i] = match summary {
-                        Ok(summary) => {
-                            let mut evaluation = base.clone();
-                            // The first fresh rung carries the shared
-                            // evaluation's provenance (it may have
-                            // recorded); later rungs replay that work.
-                            if slot > 0 {
-                                evaluation.eval_path = EvalPath::Replayed;
-                            }
-                            evaluation.serving = Some(summary);
-                            let cache_key = member.job.cache_key().expect("grouped jobs have keys");
-                            match shared.cache.get_or_insert_with(cache_key, || Ok(evaluation)) {
-                                Ok((evaluation, was_hit)) => Some(DseOutcome {
-                                    point: member.job.spec.clone(),
-                                    result: Ok(evaluation),
-                                    cached: was_hit,
-                                }),
-                                Err(e) => Some(DseOutcome {
-                                    point: member.job.spec.clone(),
-                                    result: Err(e),
-                                    cached: false,
-                                }),
-                            }
-                        }
-                        // A failed rung (e.g. a zero rate) reproduces its
-                        // error through the standard per-point path.
-                        Err(_) => Some(solo(i)),
-                    };
-                }
-            }
-            None => {
-                for &i in &pending {
-                    outcomes[i] = Some(solo(i));
-                }
-            }
-        }
-    }
-    outcomes.into_iter().map(|outcome| outcome.expect("every member answered")).collect()
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
@@ -1118,7 +1038,6 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                         let tenant =
                             entry.tenant.clone().unwrap_or_else(|| DEFAULT_TENANT.to_owned());
                         let priority = entry.priority;
-                        let traced = entry.traced;
                         let group = entry.group.clone();
                         let mut members = vec![claim_entry(&mut st, id)];
                         // Drain the rest of a fast-path group: every
@@ -1150,7 +1069,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                         st.queued -= members.len();
                         st.running += members.len();
                         shared.obs.queue_depth.set(st.queued as i64);
-                        break Some(Claim { members, tenant, priority, traced, group });
+                        break Some(Claim { members, tenant, priority, group });
                     }
                     None if st.shutting_down => break None,
                     None => st = shared.work.wait(st).expect(STATE_POISONED),
@@ -1169,51 +1088,43 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             queue_wait_hist.record_duration(member.queue_wait);
         }
         let eval_started = Instant::now();
-        let outcomes: Vec<DseOutcome> = if claim.members.len() >= 2 {
-            // Grouped claim: one batched engine call for the members,
-            // under a replay-phase span.
-            let key = claim.group.as_ref().expect("multi-member claims carry a group key");
-            let kind = match key {
-                GroupKey::Trace(_) => "trace",
-                GroupKey::Ladder(..) => "ladder",
-            };
-            let mut span = shared.obs.tracer.as_ref().map(|tracer| {
+        // A grouped claim runs under a replay-phase span, a solo one under
+        // an eval span.
+        let lead = &claim.members[0];
+        let span = shared.obs.tracer.as_ref().map(|tracer| match &claim.group {
+            Some(group) if claim.members.len() >= 2 => {
+                let kind = match group {
+                    GroupKey::Trace(_) => "trace",
+                    GroupKey::Ladder(..) => "ladder",
+                };
                 let mut span = tracer.thread_span("replay", "service");
                 span.attr("kind", kind)
                     .attr("points", claim.members.len() as u64)
-                    .attr("label", claim.members[0].job.spec.label())
+                    .attr("label", lead.job.spec.label())
                     .attr("tenant", claim.tenant.as_str())
                     .attr("priority", claim.priority.name());
                 span
-            });
-            let outcomes = match key {
-                GroupKey::Trace(trace_key) => run_trace_group(&shared, &claim.members, *trace_key),
-                GroupKey::Ladder(..) => run_ladder_group(&shared, &claim.members),
-            };
-            if let Some(span) = span.as_mut() {
-                span.attr("ok", outcomes.iter().all(|o| o.result.is_ok()));
             }
-            outcomes
-        } else {
-            let member = &claim.members[0];
-            let mut span = shared.obs.tracer.as_ref().map(|tracer| {
+            _ => {
                 let mut span = tracer.thread_span("eval", "service");
-                span.attr("label", member.job.spec.label())
+                span.attr("label", lead.job.spec.label())
                     .attr("tenant", claim.tenant.as_str())
                     .attr("priority", claim.priority.name())
                     .attr(
                         "queue_wait_us",
-                        u64::try_from(member.queue_wait.as_micros()).unwrap_or(u64::MAX),
+                        u64::try_from(lead.queue_wait.as_micros()).unwrap_or(u64::MAX),
                     );
                 span
-            });
-            let traces = claim.traced.then_some(&shared.traces);
-            let outcome = run_point(&member.job, &shared.cache, traces);
-            if let Some(span) = span.as_mut() {
-                span.attr("ok", outcome.result.is_ok()).attr("cached", outcome.cached);
             }
-            vec![outcome]
-        };
+        });
+        let outcomes = run_claim(&shared, &claim);
+        // The span closes here, before any waiter is woken.
+        if let Some(mut span) = span {
+            span.attr("ok", outcomes.iter().all(|o| o.result.is_ok()));
+            if let [solo] = outcomes.as_slice() {
+                span.attr("cached", solo.cached);
+            }
+        }
         let eval_elapsed = eval_started.elapsed();
         // Per-member accounting (a solo claim is the one-member case):
         // latency amortizes the claim across its members; the replay rate
@@ -1619,117 +1530,37 @@ impl EvalService {
         self.submit_with_journal(request, Some(Arc::clone(journal)))
     }
 
+    /// A one-point batch through admission, handed back as a
+    /// [`JobHandle`] that streams the point's [`JobEvent`]s.
     fn submit_with_journal(
         &self,
         request: EvalRequest,
         journal: Option<Arc<SweepJournal>>,
     ) -> Result<JobHandle, Rejected> {
-        let tenant = request.tenant().to_owned();
-        let priority = request.priority();
-        let job = request.to_job();
-        // Journal resumption is resolved before taking the state lock
-        // (cache seeding must not nest the cache mutex inside it).
-        let resumed: Option<DseOutcome> = journal.as_ref().and_then(|journal| {
-            let key = job.cache_key()?;
-            let evaluation = journal.lookup(&key)?;
-            self.shared.cache.insert(key, evaluation.clone());
-            Some(DseOutcome { point: job.spec.clone(), result: Ok(evaluation), cached: true })
-        });
-        if let Some(outcome) = resumed {
-            let (tx, rx) = mpsc::channel();
-            let mut st = self.shared.state.lock().expect(STATE_POISONED);
-            if st.shutting_down {
-                st.rejected += 1;
-                self.shared.obs.reject(&Rejected::ShuttingDown, 1);
-                return Err(Rejected::ShuttingDown);
-            }
-            let id = st.allocate_id();
-            st.submitted += 1;
-            st.completed += 1;
-            self.shared.obs.evals_completed.inc();
-            let _ = tx.send(JobEvent::Finished { ok: true, cached: true });
-            st.entries.insert(
-                id,
-                Entry {
-                    job,
-                    tenant: Some(tenant),
-                    priority,
-                    traced: false,
-                    group: None,
-                    submitted_at: Instant::now(),
-                    status: JobStatus::Done,
-                    outcome: Some(outcome),
-                    batch: None,
-                    events: None,
-                    journal: None,
-                    detached: false,
-                },
-            );
-            drop(st);
-            self.shared.done.notify_all();
-            return Ok(JobHandle { shared: Arc::clone(&self.shared), id, events: rx });
-        }
         let (tx, rx) = mpsc::channel();
-        let mut st = self.shared.state.lock().expect(STATE_POISONED);
-        if st.shutting_down {
-            st.rejected += 1;
-            self.shared.obs.reject(&Rejected::ShuttingDown, 1);
-            return Err(Rejected::ShuttingDown);
-        }
-        if let Some(capacity) = self.config.queue_capacity {
-            if st.queued + 1 > capacity {
-                st.rejected += 1;
-                let rejection = Rejected::QueueFull { capacity };
-                self.shared.obs.reject(&rejection, 1);
-                return Err(rejection);
-            }
-        }
-        if let Some(quota) = self.config.tenant_quota {
-            let used = st.in_flight.get(&tenant).copied().unwrap_or(0);
-            if used + 1 > quota {
-                st.rejected += 1;
-                let rejection = Rejected::QuotaExceeded { tenant, quota };
-                self.shared.obs.reject(&rejection, 1);
-                return Err(rejection);
-            }
-        }
-        let id = st.allocate_id();
-        *st.in_flight.entry(tenant.clone()).or_insert(0) += 1;
-        st.entries.insert(
-            id,
-            Entry {
-                job,
-                tenant: Some(tenant),
-                priority,
-                traced: false,
-                group: None,
-                submitted_at: Instant::now(),
-                status: JobStatus::Queued,
-                outcome: None,
-                batch: None,
-                events: Some(tx),
-                journal,
-                detached: false,
-            },
-        );
-        st.queue.push(ClaimRef { priority, seq: id, id });
-        st.queued += 1;
-        st.submitted += 1;
-        self.shared.obs.queue_depth.set(st.queued as i64);
-        drop(st);
-        self.shared.work.notify_one();
+        let tenant = Some(request.tenant().to_owned());
+        let mut batch = self.admit(
+            vec![request.to_job()],
+            tenant,
+            request.priority(),
+            true,
+            journal,
+            Some(tx),
+        )?;
+        // Take the id out so dropping the batch handle keeps the slot.
+        let id = std::mem::take(&mut batch.ids)[0];
         Ok(JobHandle { shared: Arc::clone(&self.shared), id, events: rx })
     }
 
     /// Submits an explicit job list as one batch, bypassing admission
-    /// (the trusted in-process surface the [`Executor`](crate::Executor)
-    /// runs on).
+    /// (the trusted in-process surface the explorer and the fidelity
+    /// ladder run on).
     ///
     /// # Errors
     ///
     /// Only [`Rejected::ShuttingDown`].
     pub fn submit_jobs(&self, jobs: Vec<Job>) -> Result<BatchHandle, Rejected> {
-        self.submit_batch(jobs, None, Priority::Normal, false, None)
+        self.admit(jobs, None, Priority::Normal, false, None, None)
     }
 
     /// [`Self::submit_jobs`] against a [`SweepJournal`]: journaled points
@@ -1746,7 +1577,7 @@ impl EvalService {
         jobs: Vec<Job>,
         journal: &Arc<SweepJournal>,
     ) -> Result<BatchHandle, Rejected> {
-        self.submit_batch(jobs, None, Priority::Normal, false, Some(Arc::clone(journal)))
+        self.admit(jobs, None, Priority::Normal, false, Some(Arc::clone(journal)), None)
     }
 
     /// Expands and submits a sweep, bypassing admission.
@@ -1757,7 +1588,7 @@ impl EvalService {
     /// [`Rejected::ShuttingDown`].
     pub fn submit_sweep(&self, spec: &SweepSpec) -> Result<BatchHandle, Rejected> {
         let jobs = expand(spec)?;
-        self.submit_batch(jobs, None, Priority::Normal, false, None)
+        self.admit(jobs, None, Priority::Normal, false, None, None)
     }
 
     /// Expands and submits a sweep on behalf of `tenant` at `priority`,
@@ -1774,7 +1605,7 @@ impl EvalService {
         spec: &SweepSpec,
     ) -> Result<BatchHandle, Rejected> {
         let jobs = expand(spec)?;
-        self.submit_batch(jobs, Some(tenant.to_owned()), priority, true, None)
+        self.admit(jobs, Some(tenant.to_owned()), priority, true, None, None)
     }
 
     /// Expands and submits a sweep against a [`SweepJournal`]: points
@@ -1793,11 +1624,11 @@ impl EvalService {
         journal: &Arc<SweepJournal>,
     ) -> Result<BatchHandle, Rejected> {
         let jobs = expand(spec)?;
-        self.submit_batch(jobs, None, Priority::Normal, false, Some(Arc::clone(journal)))
+        self.admit(jobs, None, Priority::Normal, false, Some(Arc::clone(journal)), None)
     }
 
-    /// Plans the queue-insertion order, per-point tracing and the
-    /// fast-path groups of a batch. Live points without a serving
+    /// Plans the queue-insertion order and the fast-path groups of a
+    /// batch. Live points without a serving
     /// workload are grouped by [`TraceKey`] (compile fingerprint +
     /// model + strategy + search); points *with* one are grouped by
     /// ladder identity (design point + rate-free workload — the
@@ -1811,11 +1642,10 @@ impl EvalService {
     /// serializing group after group. Singleton groups stay untraced and
     /// pay zero recording overhead. Outcome slots keep grid order
     /// regardless (the handle's ids are indexed by grid position).
-    #[allow(clippy::type_complexity)]
     fn trace_plan(
         jobs: &[Job],
         resumed: &[Option<DseOutcome>],
-    ) -> (Vec<usize>, Vec<bool>, Vec<Option<GroupKey>>) {
+    ) -> (Vec<usize>, Vec<Option<GroupKey>>) {
         let mut groups: Vec<(Option<GroupKey>, Vec<usize>)> = Vec::new();
         let mut by_key: HashMap<TraceKey, usize> = HashMap::new();
         let mut by_ladder: HashMap<(CacheKey, u64), usize> = HashMap::new();
@@ -1849,11 +1679,9 @@ impl EvalService {
                 _ => groups.push((None, vec![index])),
             }
         }
-        let mut traced = vec![false; jobs.len()];
         let mut group_keys: Vec<Option<GroupKey>> = vec![None; jobs.len()];
         for (key, members) in groups.iter().filter(|(_, members)| members.len() >= 2) {
             for &index in members {
-                traced[index] = true;
                 group_keys[index] = key.clone();
             }
         }
@@ -1867,16 +1695,23 @@ impl EvalService {
             }
             round += 1;
         }
-        (order, traced, group_keys)
+        (order, group_keys)
     }
 
-    fn submit_batch(
+    /// The one admission path behind every `submit*` surface: journal
+    /// resumption, admission checks (when `admission` is set) and entry
+    /// construction. A submission that queues nothing — every point
+    /// resumed from the journal — never counts against capacity or
+    /// quota. `events` streams the [`JobEvent`]s of a one-point
+    /// submission.
+    fn admit(
         &self,
         jobs: Vec<Job>,
         tenant: Option<String>,
         priority: Priority,
         admission: bool,
         journal: Option<Arc<SweepJournal>>,
+        events: Option<mpsc::Sender<JobEvent>>,
     ) -> Result<BatchHandle, Rejected> {
         // Journal resumption is resolved before taking the state lock:
         // cache seeding must not nest the cache mutex inside it.
@@ -1892,7 +1727,7 @@ impl EvalService {
             .collect();
         let born_terminal = resumed.iter().filter(|r| r.is_some()).count();
         let live = resumed.len() - born_terminal;
-        let (order, traced, groups) = Self::trace_plan(&jobs, &resumed);
+        let (order, groups) = Self::trace_plan(&jobs, &resumed);
 
         let (tx, rx) = mpsc::channel();
         let batch = Arc::new(BatchState {
@@ -1906,7 +1741,7 @@ impl EvalService {
             self.shared.obs.reject(&Rejected::ShuttingDown, jobs.len() as u64);
             return Err(Rejected::ShuttingDown);
         }
-        if admission {
+        if admission && live > 0 {
             if let Some(capacity) = self.config.queue_capacity {
                 if st.queued + live > capacity {
                     st.rejected += jobs.len() as u64;
@@ -1939,6 +1774,9 @@ impl EvalService {
             match resumed {
                 Some(outcome) => {
                     // Journal-resumed point: born terminal.
+                    if let Some(events) = &events {
+                        let _ = events.send(JobEvent::Finished { ok: true, cached: true });
+                    }
                     let done = batch.completed.fetch_add(1, Ordering::SeqCst) + 1;
                     let _ = batch.progress.send(Progress {
                         completed: done,
@@ -1956,7 +1794,6 @@ impl EvalService {
                             job,
                             tenant: tenant.clone(),
                             priority,
-                            traced: false,
                             group: None,
                             submitted_at: Instant::now(),
                             status: JobStatus::Done,
@@ -1978,13 +1815,12 @@ impl EvalService {
                             job,
                             tenant: tenant.clone(),
                             priority,
-                            traced: traced[index],
                             group: groups[index].clone(),
                             submitted_at: Instant::now(),
                             status: JobStatus::Queued,
                             outcome: None,
                             batch: Some((Arc::clone(&batch), index)),
-                            events: None,
+                            events: events.clone(),
                             journal: journal.clone(),
                             detached: false,
                         },
@@ -2117,7 +1953,7 @@ fn expand(spec: &SweepSpec) -> Result<Vec<Job>, Rejected> {
 mod tests {
     use super::*;
     use crate::{evaluate, CacheKey};
-    use cimflow_nn::Model;
+    use cimflow_nn::{models, Model};
 
     fn request(model: &str, strategy: Strategy) -> EvalRequest {
         EvalRequest::new(model, 32, strategy)
@@ -2297,6 +2133,14 @@ mod tests {
         let handle =
             service.submit(request("not-a-model", Strategy::DpOptimized)).expect("admitted");
         assert!(matches!(handle.wait().result, Err(DseError::UnknownModel { .. })));
+        // Resolutions the zoo cannot build at fail the same way instead of
+        // panicking the submitting thread.
+        for (model, resolution) in [("mobilenetv2", 0), ("vgg19", 16)] {
+            let handle = service
+                .submit(EvalRequest::new(model, resolution, Strategy::DpOptimized))
+                .expect("admitted");
+            assert!(matches!(handle.wait().result, Err(DseError::Model(_))));
+        }
     }
 
     #[test]

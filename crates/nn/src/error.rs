@@ -28,6 +28,21 @@ pub enum NnError {
         /// Underlying parser message.
         reason: String,
     },
+    /// The model zoo has no model of this name.
+    UnknownModel {
+        /// The unresolvable model name.
+        name: String,
+    },
+    /// A zoo model cannot be built at the requested input resolution
+    /// (its downsampling stages run out of pixels).
+    Resolution {
+        /// The zoo model.
+        model: String,
+        /// The requested square input resolution.
+        resolution: u32,
+        /// The first shape error the build hit.
+        reason: String,
+    },
 }
 
 impl fmt::Display for NnError {
@@ -40,6 +55,10 @@ impl fmt::Display for NnError {
             NnError::InvalidGraph { reason } => write!(f, "invalid computation graph: {reason}"),
             NnError::ParseModel { reason } => {
                 write!(f, "failed to parse model description: {reason}")
+            }
+            NnError::UnknownModel { name } => write!(f, "unknown benchmark model `{name}`"),
+            NnError::Resolution { model, resolution, reason } => {
+                write!(f, "`{model}` cannot be built at {resolution} px: {reason}")
             }
         }
     }

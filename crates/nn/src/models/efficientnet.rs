@@ -3,6 +3,7 @@
 use crate::graph::{GraphBuilder, Model, TensorId};
 use crate::op::{ActivationKind, OpKind};
 use crate::tensor::TensorShape;
+use crate::NnError;
 
 fn conv(out: u32, k: u32, s: u32, p: u32, groups: u32) -> OpKind {
     OpKind::Conv2d { out_channels: out, kernel: (k, k), stride: (s, s), padding: (p, p), groups }
@@ -11,23 +12,28 @@ fn conv(out: u32, k: u32, s: u32, p: u32, groups: u32) -> OpKind {
 /// Squeeze-and-excitation gate: global average pooling, a reduction 1×1
 /// convolution, an expansion 1×1 convolution with a sigmoid, and a
 /// broadcast multiplication back onto the feature map.
-fn squeeze_excite(b: &mut GraphBuilder, name: &str, input: TensorId, reduced: u32) -> TensorId {
+fn squeeze_excite(
+    b: &mut GraphBuilder,
+    name: &str,
+    input: TensorId,
+    reduced: u32,
+) -> Result<TensorId, NnError> {
     let channels = b.shape(input).c;
-    let squeezed =
-        b.node(&format!("{name}.se_gap"), OpKind::GlobalAvgPool, &[input]).expect("valid se gap");
-    let reduce = b
-        .node(&format!("{name}.se_reduce"), conv(reduced.max(1), 1, 1, 0, 1), &[squeezed])
-        .expect("valid se reduce");
-    let act = b
-        .node(&format!("{name}.se_act"), OpKind::Activation(ActivationKind::HardSwish), &[reduce])
-        .expect("valid se activation");
-    let expand = b
-        .node(&format!("{name}.se_expand"), conv(channels, 1, 1, 0, 1), &[act])
-        .expect("valid se expand");
-    let gate = b
-        .node(&format!("{name}.se_sigmoid"), OpKind::Activation(ActivationKind::Sigmoid), &[expand])
-        .expect("valid se sigmoid");
-    b.node(&format!("{name}.se_mul"), OpKind::Mul, &[input, gate]).expect("valid se multiply")
+    let squeezed = b.node(&format!("{name}.se_gap"), OpKind::GlobalAvgPool, &[input])?;
+    let reduce =
+        b.node(&format!("{name}.se_reduce"), conv(reduced.max(1), 1, 1, 0, 1), &[squeezed])?;
+    let act = b.node(
+        &format!("{name}.se_act"),
+        OpKind::Activation(ActivationKind::HardSwish),
+        &[reduce],
+    )?;
+    let expand = b.node(&format!("{name}.se_expand"), conv(channels, 1, 1, 0, 1), &[act])?;
+    let gate = b.node(
+        &format!("{name}.se_sigmoid"),
+        OpKind::Activation(ActivationKind::Sigmoid),
+        &[expand],
+    )?;
+    b.node(&format!("{name}.se_mul"), OpKind::Mul, &[input, gate])
 }
 
 /// One MBConv block: 1×1 expansion, k×k depth-wise convolution,
@@ -41,48 +47,46 @@ fn mbconv(
     out_channels: u32,
     kernel: u32,
     stride: u32,
-) -> TensorId {
+) -> Result<TensorId, NnError> {
     let in_channels = b.shape(input).c;
     let hidden = in_channels * expansion;
     let mut x = input;
     if expansion != 1 {
-        x = b
-            .node(&format!("{name}.expand"), conv(hidden, 1, 1, 0, 1), &[x])
-            .expect("valid expand");
-        x = b
-            .node(
-                &format!("{name}.expand_act"),
-                OpKind::Activation(ActivationKind::HardSwish),
-                &[x],
-            )
-            .expect("valid expand act");
+        x = b.node(&format!("{name}.expand"), conv(hidden, 1, 1, 0, 1), &[x])?;
+        x = b.node(
+            &format!("{name}.expand_act"),
+            OpKind::Activation(ActivationKind::HardSwish),
+            &[x],
+        )?;
     }
     let padding = kernel / 2;
-    x = b
-        .node(&format!("{name}.dwconv"), conv(hidden, kernel, stride, padding, hidden), &[x])
-        .expect("valid depthwise");
-    x = b
-        .node(&format!("{name}.dw_act"), OpKind::Activation(ActivationKind::HardSwish), &[x])
-        .expect("valid depthwise act");
-    x = squeeze_excite(b, name, x, in_channels / 4);
-    x = b
-        .node(&format!("{name}.project"), conv(out_channels, 1, 1, 0, 1), &[x])
-        .expect("valid projection");
+    x = b.node(&format!("{name}.dwconv"), conv(hidden, kernel, stride, padding, hidden), &[x])?;
+    x = b.node(&format!("{name}.dw_act"), OpKind::Activation(ActivationKind::HardSwish), &[x])?;
+    x = squeeze_excite(b, name, x, in_channels / 4)?;
+    x = b.node(&format!("{name}.project"), conv(out_channels, 1, 1, 0, 1), &[x])?;
     if stride == 1 && in_channels == out_channels {
-        x = b.node(&format!("{name}.add"), OpKind::Add, &[x, input]).expect("valid residual add");
+        x = b.node(&format!("{name}.add"), OpKind::Add, &[x, input])?;
     }
-    x
+    Ok(x)
 }
 
 /// Builds EfficientNetB0 at the given square input resolution.
+///
+/// # Panics
+///
+/// If the resolution is too small for the network; [`by_name`](super::by_name)
+/// reports that as an error instead.
 pub fn efficientnet_b0(resolution: u32) -> Model {
+    try_efficientnet_b0(resolution).expect("valid efficientnetb0 geometry")
+}
+
+/// [`efficientnet_b0`], failing on resolutions the network cannot downsample.
+pub(crate) fn try_efficientnet_b0(resolution: u32) -> Result<Model, NnError> {
     let mut b = GraphBuilder::new();
     let input = b.input("image", TensorShape::feature_map(3, resolution, resolution));
 
-    let mut x = b.node("stem", conv(32, 3, 2, 1, 1), &[input]).expect("valid stem");
-    x = b
-        .node("stem_act", OpKind::Activation(ActivationKind::HardSwish), &[x])
-        .expect("valid stem act");
+    let mut x = b.node("stem", conv(32, 3, 2, 1, 1), &[input])?;
+    x = b.node("stem_act", OpKind::Activation(ActivationKind::HardSwish), &[x])?;
 
     // (expansion, out_channels, repeats, first stride, kernel) — B0 config.
     let blocks: [(u32, u32, u32, u32, u32); 7] = [
@@ -106,21 +110,18 @@ pub fn efficientnet_b0(resolution: u32) -> Model {
                 out_channels,
                 kernel,
                 stride,
-            );
+            )?;
             index += 1;
         }
     }
 
-    x = b.node("head", conv(1280, 1, 1, 0, 1), &[x]).expect("valid head");
-    x = b
-        .node("head_act", OpKind::Activation(ActivationKind::HardSwish), &[x])
-        .expect("valid head act");
-    let pooled = b.node("gap", OpKind::GlobalAvgPool, &[x]).expect("valid gap");
-    let logits =
-        b.node("fc", OpKind::Linear { out_features: 1000 }, &[pooled]).expect("valid classifier");
+    x = b.node("head", conv(1280, 1, 1, 0, 1), &[x])?;
+    x = b.node("head_act", OpKind::Activation(ActivationKind::HardSwish), &[x])?;
+    let pooled = b.node("gap", OpKind::GlobalAvgPool, &[x])?;
+    let logits = b.node("fc", OpKind::Linear { out_features: 1000 }, &[pooled])?;
 
-    let graph = b.finish(&[logits]).expect("efficientnetb0 graph is structurally valid");
-    Model::new("efficientnetb0", graph)
+    let graph = b.finish(&[logits])?;
+    Ok(Model::new("efficientnetb0", graph))
 }
 
 #[cfg(test)]

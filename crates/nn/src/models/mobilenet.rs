@@ -3,6 +3,7 @@
 use crate::graph::{GraphBuilder, Model, TensorId};
 use crate::op::{ActivationKind, OpKind};
 use crate::tensor::TensorShape;
+use crate::NnError;
 
 fn conv(out: u32, k: u32, s: u32, p: u32, groups: u32) -> OpKind {
     OpKind::Conv2d { out_channels: out, kernel: (k, k), stride: (s, s), padding: (p, p), groups }
@@ -17,43 +18,45 @@ fn inverted_residual(
     expansion: u32,
     out_channels: u32,
     stride: u32,
-) -> TensorId {
+) -> Result<TensorId, NnError> {
     let in_channels = b.shape(input).c;
     let hidden = in_channels * expansion;
     let mut x = input;
     if expansion != 1 {
-        x = b
-            .node(&format!("{name}.expand"), conv(hidden, 1, 1, 0, 1), &[x])
-            .expect("valid expand conv");
-        x = b
-            .node(&format!("{name}.expand_relu"), OpKind::Activation(ActivationKind::Relu6), &[x])
-            .expect("valid expand relu");
+        x = b.node(&format!("{name}.expand"), conv(hidden, 1, 1, 0, 1), &[x])?;
+        x = b.node(
+            &format!("{name}.expand_relu"),
+            OpKind::Activation(ActivationKind::Relu6),
+            &[x],
+        )?;
     }
-    x = b
-        .node(&format!("{name}.dwconv"), conv(hidden, 3, stride, 1, hidden), &[x])
-        .expect("valid depthwise conv");
-    x = b
-        .node(&format!("{name}.dw_relu"), OpKind::Activation(ActivationKind::Relu6), &[x])
-        .expect("valid depthwise relu");
-    x = b
-        .node(&format!("{name}.project"), conv(out_channels, 1, 1, 0, 1), &[x])
-        .expect("valid projection conv");
+    x = b.node(&format!("{name}.dwconv"), conv(hidden, 3, stride, 1, hidden), &[x])?;
+    x = b.node(&format!("{name}.dw_relu"), OpKind::Activation(ActivationKind::Relu6), &[x])?;
+    x = b.node(&format!("{name}.project"), conv(out_channels, 1, 1, 0, 1), &[x])?;
     if stride == 1 && in_channels == out_channels {
-        x = b.node(&format!("{name}.add"), OpKind::Add, &[x, input]).expect("valid residual add");
+        x = b.node(&format!("{name}.add"), OpKind::Add, &[x, input])?;
     }
-    x
+    Ok(x)
 }
 
 /// Builds MobileNetV2 (width multiplier 1.0) at the given square input
 /// resolution.
+///
+/// # Panics
+///
+/// If the resolution is too small for the network; [`by_name`](super::by_name)
+/// reports that as an error instead.
 pub fn mobilenet_v2(resolution: u32) -> Model {
+    try_mobilenet_v2(resolution).expect("valid mobilenetv2 geometry")
+}
+
+/// [`mobilenet_v2`], failing on resolutions the network cannot downsample.
+pub(crate) fn try_mobilenet_v2(resolution: u32) -> Result<Model, NnError> {
     let mut b = GraphBuilder::new();
     let input = b.input("image", TensorShape::feature_map(3, resolution, resolution));
 
-    let mut x = b.node("stem", conv(32, 3, 2, 1, 1), &[input]).expect("valid stem");
-    x = b
-        .node("stem_relu", OpKind::Activation(ActivationKind::Relu6), &[x])
-        .expect("valid stem relu");
+    let mut x = b.node("stem", conv(32, 3, 2, 1, 1), &[input])?;
+    x = b.node("stem_relu", OpKind::Activation(ActivationKind::Relu6), &[x])?;
 
     // (expansion, out_channels, repeats, first stride) — Table 2 of the paper.
     let blocks: [(u32, u32, u32, u32); 7] = [
@@ -76,21 +79,18 @@ pub fn mobilenet_v2(resolution: u32) -> Model {
                 expansion,
                 out_channels,
                 stride,
-            );
+            )?;
             block_index += 1;
         }
     }
 
-    x = b.node("head", conv(1280, 1, 1, 0, 1), &[x]).expect("valid head conv");
-    x = b
-        .node("head_relu", OpKind::Activation(ActivationKind::Relu6), &[x])
-        .expect("valid head relu");
-    let pooled = b.node("gap", OpKind::GlobalAvgPool, &[x]).expect("valid gap");
-    let logits =
-        b.node("fc", OpKind::Linear { out_features: 1000 }, &[pooled]).expect("valid classifier");
+    x = b.node("head", conv(1280, 1, 1, 0, 1), &[x])?;
+    x = b.node("head_relu", OpKind::Activation(ActivationKind::Relu6), &[x])?;
+    let pooled = b.node("gap", OpKind::GlobalAvgPool, &[x])?;
+    let logits = b.node("fc", OpKind::Linear { out_features: 1000 }, &[pooled])?;
 
-    let graph = b.finish(&[logits]).expect("mobilenetv2 graph is structurally valid");
-    Model::new("mobilenetv2", graph)
+    let graph = b.finish(&[logits])?;
+    Ok(Model::new("mobilenetv2", graph))
 }
 
 #[cfg(test)]

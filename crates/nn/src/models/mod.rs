@@ -21,6 +21,7 @@ pub use resnet::resnet18;
 pub use vgg::vgg19;
 
 use crate::graph::Model;
+use crate::NnError;
 
 /// The canonical benchmark suite of the paper, at the given input
 /// resolution, in the order used by Fig. 5.
@@ -33,15 +34,27 @@ pub fn benchmark_suite(resolution: u32) -> Vec<Model> {
     ]
 }
 
-/// Looks a benchmark model up by its lowercase name.
-pub fn by_name(name: &str, resolution: u32) -> Option<Model> {
-    match name {
-        "resnet18" => Some(resnet18(resolution)),
-        "vgg19" => Some(vgg19(resolution)),
-        "mobilenetv2" | "mobilenet_v2" => Some(mobilenet_v2(resolution)),
-        "efficientnetb0" | "efficientnet_b0" => Some(efficientnet_b0(resolution)),
-        _ => None,
-    }
+/// Looks a benchmark model up by its lowercase name and builds it at
+/// `resolution`. Never panics: unknown names and resolutions the network
+/// cannot downsample (0 px for every model, below 32 px for VGG19) are
+/// errors.
+///
+/// # Errors
+///
+/// [`NnError::UnknownModel`] or [`NnError::Resolution`].
+pub fn by_name(name: &str, resolution: u32) -> Result<Model, NnError> {
+    let build = match name {
+        "resnet18" => resnet::try_resnet18,
+        "vgg19" => vgg::try_vgg19,
+        "mobilenetv2" | "mobilenet_v2" => mobilenet::try_mobilenet_v2,
+        "efficientnetb0" | "efficientnet_b0" => efficientnet::try_efficientnet_b0,
+        _ => return Err(NnError::UnknownModel { name: name.to_owned() }),
+    };
+    build(resolution).map_err(|e| NnError::Resolution {
+        model: name.to_owned(),
+        resolution,
+        reason: e.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -108,8 +121,23 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        assert!(by_name("resnet18", 64).is_some());
-        assert!(by_name("mobilenet_v2", 64).is_some());
-        assert!(by_name("unknown", 64).is_none());
+        assert!(by_name("resnet18", 64).is_ok());
+        assert!(by_name("mobilenet_v2", 64).is_ok());
+        assert!(matches!(by_name("unknown", 64), Err(NnError::UnknownModel { .. })));
+    }
+
+    #[test]
+    fn lookup_rejects_unbuildable_resolutions_without_panicking() {
+        for name in ["resnet18", "vgg19", "mobilenetv2", "efficientnetb0"] {
+            assert!(matches!(by_name(name, 0), Err(NnError::Resolution { resolution: 0, .. })));
+            assert!(by_name(name, 32).is_ok(), "{name} builds at 32 px");
+        }
+        let err = by_name("vgg19", 16).unwrap_err();
+        assert!(err.to_string().contains("16 px"), "{err}");
+        for resolution in 1..32 {
+            assert!(by_name("resnet18", resolution).is_ok());
+            assert!(by_name("mobilenetv2", resolution).is_ok());
+            assert!(by_name("efficientnetb0", resolution).is_ok());
+        }
     }
 }

@@ -3,6 +3,7 @@
 use crate::graph::{GraphBuilder, Model, TensorId};
 use crate::op::{ActivationKind, OpKind};
 use crate::tensor::TensorShape;
+use crate::NnError;
 
 fn conv(out: u32, k: u32, s: u32, p: u32) -> OpKind {
     OpKind::Conv2d { out_channels: out, kernel: (k, k), stride: (s, s), padding: (p, p), groups: 1 }
@@ -17,59 +18,55 @@ fn basic_block(
     channels: u32,
     stride: u32,
     project: bool,
-) -> TensorId {
-    let c1 = b
-        .node(&format!("{name}.conv1"), conv(channels, 3, stride, 1), &[input])
-        .expect("valid block conv1");
-    let r1 = b
-        .node(&format!("{name}.relu1"), OpKind::Activation(ActivationKind::Relu), &[c1])
-        .expect("valid block relu1");
-    let c2 = b
-        .node(&format!("{name}.conv2"), conv(channels, 3, 1, 1), &[r1])
-        .expect("valid block conv2");
+) -> Result<TensorId, NnError> {
+    let c1 = b.node(&format!("{name}.conv1"), conv(channels, 3, stride, 1), &[input])?;
+    let r1 = b.node(&format!("{name}.relu1"), OpKind::Activation(ActivationKind::Relu), &[c1])?;
+    let c2 = b.node(&format!("{name}.conv2"), conv(channels, 3, 1, 1), &[r1])?;
     let shortcut = if project {
-        b.node(&format!("{name}.downsample"), conv(channels, 1, stride, 0), &[input])
-            .expect("valid downsample")
+        b.node(&format!("{name}.downsample"), conv(channels, 1, stride, 0), &[input])?
     } else {
         input
     };
-    let sum =
-        b.node(&format!("{name}.add"), OpKind::Add, &[c2, shortcut]).expect("valid residual add");
+    let sum = b.node(&format!("{name}.add"), OpKind::Add, &[c2, shortcut])?;
     b.node(&format!("{name}.relu2"), OpKind::Activation(ActivationKind::Relu), &[sum])
-        .expect("valid block relu2")
 }
 
 /// Builds ResNet18 at the given square input resolution (224 for the
 /// ImageNet geometry).
+///
+/// # Panics
+///
+/// If the resolution is too small for the network; [`by_name`](super::by_name)
+/// reports that as an error instead.
 pub fn resnet18(resolution: u32) -> Model {
+    try_resnet18(resolution).expect("valid resnet18 geometry")
+}
+
+/// [`resnet18`], failing on resolutions the network cannot downsample.
+pub(crate) fn try_resnet18(resolution: u32) -> Result<Model, NnError> {
     let mut b = GraphBuilder::new();
     let input = b.input("image", TensorShape::feature_map(3, resolution, resolution));
 
-    let stem = b.node("conv1", conv(64, 7, 2, 3), &[input]).expect("valid stem");
-    let stem = b
-        .node("relu1", OpKind::Activation(ActivationKind::Relu), &[stem])
-        .expect("valid stem relu");
-    let mut x = b
-        .node(
-            "maxpool",
-            OpKind::MaxPool { kernel: (3, 3), stride: (2, 2), padding: (1, 1) },
-            &[stem],
-        )
-        .expect("valid stem pool");
+    let stem = b.node("conv1", conv(64, 7, 2, 3), &[input])?;
+    let stem = b.node("relu1", OpKind::Activation(ActivationKind::Relu), &[stem])?;
+    let mut x = b.node(
+        "maxpool",
+        OpKind::MaxPool { kernel: (3, 3), stride: (2, 2), padding: (1, 1) },
+        &[stem],
+    )?;
 
     let stages: [(u32, u32, &str); 4] =
         [(64, 1, "layer1"), (128, 2, "layer2"), (256, 2, "layer3"), (512, 2, "layer4")];
     for (channels, first_stride, name) in stages {
         let project = first_stride != 1 || b.shape(x).c != channels;
-        x = basic_block(&mut b, &format!("{name}.0"), x, channels, first_stride, project);
-        x = basic_block(&mut b, &format!("{name}.1"), x, channels, 1, false);
+        x = basic_block(&mut b, &format!("{name}.0"), x, channels, first_stride, project)?;
+        x = basic_block(&mut b, &format!("{name}.1"), x, channels, 1, false)?;
     }
 
-    let pooled = b.node("gap", OpKind::GlobalAvgPool, &[x]).expect("valid gap");
-    let logits =
-        b.node("fc", OpKind::Linear { out_features: 1000 }, &[pooled]).expect("valid classifier");
-    let graph = b.finish(&[logits]).expect("resnet18 graph is structurally valid");
-    Model::new("resnet18", graph)
+    let pooled = b.node("gap", OpKind::GlobalAvgPool, &[x])?;
+    let logits = b.node("fc", OpKind::Linear { out_features: 1000 }, &[pooled])?;
+    let graph = b.finish(&[logits])?;
+    Ok(Model::new("resnet18", graph))
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 use crate::graph::{GraphBuilder, Model};
 use crate::op::{ActivationKind, OpKind};
 use crate::tensor::TensorShape;
+use crate::NnError;
 
 fn conv3(out: u32) -> OpKind {
     OpKind::Conv2d { out_channels: out, kernel: (3, 3), stride: (1, 1), padding: (1, 1), groups: 1 }
@@ -12,7 +13,17 @@ fn conv3(out: u32) -> OpKind {
 /// geometry). The three fully connected layers use the standard
 /// 4096/4096/1000 sizes when the final feature map is 7×7 (i.e. for
 /// 224-pixel inputs) and scale with the flattened feature size otherwise.
+///
+/// # Panics
+///
+/// Below 32 px, where the five pooling stages run out of pixels;
+/// [`by_name`](super::by_name) reports that as an error instead.
 pub fn vgg19(resolution: u32) -> Model {
+    try_vgg19(resolution).expect("valid vgg19 geometry")
+}
+
+/// [`vgg19`], failing on resolutions the network cannot downsample.
+pub(crate) fn try_vgg19(resolution: u32) -> Result<Model, NnError> {
     let mut b = GraphBuilder::new();
     let mut x = b.input("image", TensorShape::feature_map(3, resolution, resolution));
 
@@ -20,40 +31,30 @@ pub fn vgg19(resolution: u32) -> Model {
     let stages: [(u32, u32); 5] = [(64, 2), (128, 2), (256, 4), (512, 4), (512, 4)];
     for (stage_idx, (channels, convs)) in stages.into_iter().enumerate() {
         for conv_idx in 0..convs {
-            x = b
-                .node(&format!("conv{}_{}", stage_idx + 1, conv_idx + 1), conv3(channels), &[x])
-                .expect("valid vgg conv");
-            x = b
-                .node(
-                    &format!("relu{}_{}", stage_idx + 1, conv_idx + 1),
-                    OpKind::Activation(ActivationKind::Relu),
-                    &[x],
-                )
-                .expect("valid vgg relu");
-        }
-        x = b
-            .node(
-                &format!("pool{}", stage_idx + 1),
-                OpKind::MaxPool { kernel: (2, 2), stride: (2, 2), padding: (0, 0) },
+            x =
+                b.node(&format!("conv{}_{}", stage_idx + 1, conv_idx + 1), conv3(channels), &[x])?;
+            x = b.node(
+                &format!("relu{}_{}", stage_idx + 1, conv_idx + 1),
+                OpKind::Activation(ActivationKind::Relu),
                 &[x],
-            )
-            .expect("valid vgg pool");
+            )?;
+        }
+        x = b.node(
+            &format!("pool{}", stage_idx + 1),
+            OpKind::MaxPool { kernel: (2, 2), stride: (2, 2), padding: (0, 0) },
+            &[x],
+        )?;
     }
 
-    let flat = b.node("flatten", OpKind::Flatten, &[x]).expect("valid flatten");
-    let fc1 = b.node("fc1", OpKind::Linear { out_features: 4096 }, &[flat]).expect("valid fc1");
-    let relu_fc1 = b
-        .node("relu_fc1", OpKind::Activation(ActivationKind::Relu), &[fc1])
-        .expect("valid fc relu");
-    let fc2 = b.node("fc2", OpKind::Linear { out_features: 4096 }, &[relu_fc1]).expect("valid fc2");
-    let relu_fc2 = b
-        .node("relu_fc2", OpKind::Activation(ActivationKind::Relu), &[fc2])
-        .expect("valid fc relu");
-    let logits =
-        b.node("fc3", OpKind::Linear { out_features: 1000 }, &[relu_fc2]).expect("valid fc3");
+    let flat = b.node("flatten", OpKind::Flatten, &[x])?;
+    let fc1 = b.node("fc1", OpKind::Linear { out_features: 4096 }, &[flat])?;
+    let relu_fc1 = b.node("relu_fc1", OpKind::Activation(ActivationKind::Relu), &[fc1])?;
+    let fc2 = b.node("fc2", OpKind::Linear { out_features: 4096 }, &[relu_fc1])?;
+    let relu_fc2 = b.node("relu_fc2", OpKind::Activation(ActivationKind::Relu), &[fc2])?;
+    let logits = b.node("fc3", OpKind::Linear { out_features: 1000 }, &[relu_fc2])?;
 
-    let graph = b.finish(&[logits]).expect("vgg19 graph is structurally valid");
-    Model::new("vgg19", graph)
+    let graph = b.finish(&[logits])?;
+    Ok(Model::new("vgg19", graph))
 }
 
 #[cfg(test)]

@@ -572,23 +572,16 @@ mod tests {
 
     #[test]
     fn shutdown_stops_the_listener() {
-        use std::time::{Duration, Instant};
-
         let service = Arc::new(EvalService::new(ServiceConfig::new().with_workers(1)));
         let server = TcpServer::spawn(Arc::clone(&service), 0).expect("bind loopback");
         let mut client = Client::connect(server.addr()).expect("connect");
         client.shutdown().expect("acknowledged");
-        assert!(server.shutdown_requested());
-        // The waiter and the accept loop are condvar-woken: with no work
-        // in flight the whole teardown completes promptly instead of
-        // lagging a poll interval per loop.
-        let started = Instant::now();
+        // Event-based teardown: this returns once the connection raised
+        // the shutdown latch and the accept loop, woken by the latch's
+        // condvar, has exited (cimflow-dse's
+        // `shutdown_wakes_the_idle_accept_loop_through_the_latch` pins the
+        // wake-up to the condvar rather than the poll timeout).
         server.wait_for_shutdown();
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "shutdown must not lag on polling sleeps: {:?}",
-            started.elapsed()
-        );
         assert!(service.submit(EvalRequest::new("resnet18", 32, Strategy::DpOptimized)).is_err());
     }
 }

@@ -43,8 +43,8 @@ pub use client::{
     BatchTicket, Client, ClientError, RemoteMetrics, RemoteStats, RemoteStatus, Waited,
 };
 
-// The service core and wire protocol live in `cimflow-dse` (the blocking
-// `Executor` is rebased on them, which a `cimflow-serve` dependency cycle
+// The service core and wire protocol live in `cimflow-dse` (the CLI and
+// the explorer run on them, which a `cimflow-serve` dependency cycle
 // would forbid); this crate is their serving surface.
 pub use cimflow_dse::serve as protocol;
 pub use cimflow_dse::serve::{

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use cimflow::Strategy;
 use cimflow_dse::{
-    analysis, explore, explore_journaled, EvalCache, EvalService, Executor, ExploreAlgorithm,
-    ExploreSpec, ServiceConfig, SweepJournal, SweepSpec,
+    analysis, explore, explore_journaled, EvalCache, EvalService, ExploreAlgorithm, ExploreSpec,
+    ServiceConfig, SweepJournal, SweepSpec,
 };
 
 fn main() -> Result<(), cimflow_dse::DseError> {
@@ -29,7 +29,8 @@ fn main() -> Result<(), cimflow_dse::DseError> {
     // The exhaustive baseline the exploration is judged against.
     let cache = EvalCache::new();
     let started = std::time::Instant::now();
-    let grid = Executor::new().run_spec(&space, &cache)?;
+    let grid =
+        EvalService::with_cache(ServiceConfig::new(), cache.clone()).submit_sweep(&space)?.wait();
     println!("exhaustive grid: {} evaluations in {:.2?}", grid.len(), started.elapsed());
 
     // One reference point per model, weakly worse than every grid point,

@@ -7,9 +7,18 @@
 //! Run with `cargo run --release --example parallel_dse`.
 
 use cimflow::Strategy;
-use cimflow_dse::{analysis, export, EvalCache, Executor, SweepSpec};
+use cimflow_dse::{
+    analysis, export, DseError, DseOutcome, EvalCache, EvalService, ServiceConfig, SweepSpec,
+};
 
-fn main() -> Result<(), cimflow_dse::DseError> {
+/// Runs `spec` to completion on a `workers`-thread service over `cache`.
+fn run(spec: &SweepSpec, workers: usize, cache: &EvalCache) -> Result<Vec<DseOutcome>, DseError> {
+    let service =
+        EvalService::with_cache(ServiceConfig::new().with_workers(workers), cache.clone());
+    Ok(service.submit_sweep(spec)?.wait())
+}
+
+fn main() -> Result<(), DseError> {
     // mg = 0 is deliberately invalid: the engine reports it per point
     // instead of aborting the sweep.
     let spec = SweepSpec::new()
@@ -25,20 +34,19 @@ fn main() -> Result<(), cimflow_dse::DseError> {
     // Sequential baseline.
     let sequential_cache = EvalCache::new();
     let started = std::time::Instant::now();
-    let baseline = Executor::sequential().run_spec(&spec, &sequential_cache)?;
+    let baseline = run(&spec, 1, &sequential_cache)?;
     let sequential_time = started.elapsed();
 
     // Parallel run on a fresh cache (same work, fanned out).
     let cache = EvalCache::new();
-    let workers = Executor::new().workers().max(4);
-    let executor = Executor::with_workers(workers);
+    let workers = ServiceConfig::new().workers.max(4);
     let started = std::time::Instant::now();
-    let outcomes = executor.run_spec(&spec, &cache)?;
+    let outcomes = run(&spec, workers, &cache)?;
     let parallel_time = started.elapsed();
 
     // Warm re-run over the shared cache: zero recompilations.
     let started = std::time::Instant::now();
-    let warm = executor.run_spec(&spec, &cache)?;
+    let warm = run(&spec, workers, &cache)?;
     let warm_time = started.elapsed();
     let warm_hits = warm.iter().filter(|o| o.cached).count();
     let valid = warm.iter().filter(|o| o.result.is_ok()).count();

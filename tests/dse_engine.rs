@@ -1,11 +1,17 @@
 //! Cross-crate integration tests of the `cimflow-dse` engine: the
 //! acceptance scenario of the subsystem — a ≥3-axis × 2-model sweep
-//! through the parallel executor that survives injected invalid
+//! through the evaluation service that survives injected invalid
 //! configurations, exports CSV/JSON, yields a non-empty Pareto frontier
 //! and performs zero recompilations on a warm cache.
 
 use cimflow::Strategy;
-use cimflow_dse::{analysis, export, EvalCache, Executor, SweepSpec};
+use cimflow_dse::{analysis, export, DseOutcome, EvalCache, EvalService, ServiceConfig, SweepSpec};
+
+/// Runs `spec` to completion on a fresh four-worker service over `cache`.
+fn run(spec: &SweepSpec, cache: &EvalCache) -> Vec<DseOutcome> {
+    let service = EvalService::with_cache(ServiceConfig::new().with_workers(4), cache.clone());
+    service.submit_sweep(spec).expect("spec is valid").wait()
+}
 
 fn acceptance_spec() -> SweepSpec {
     // Three architecture axes (mg, flit, core count) × two models, with an
@@ -24,7 +30,7 @@ fn acceptance_spec() -> SweepSpec {
 fn three_axis_sweep_survives_invalid_points_and_yields_a_frontier() {
     let spec = acceptance_spec();
     let cache = EvalCache::new();
-    let outcomes = Executor::with_workers(4).run_spec(&spec, &cache).expect("spec is valid");
+    let outcomes = run(&spec, &cache);
     assert_eq!(outcomes.len(), 2 * 2 * 2 * 2);
 
     let failed = outcomes.iter().filter(|o| o.result.is_err()).count();
@@ -57,12 +63,11 @@ fn three_axis_sweep_survives_invalid_points_and_yields_a_frontier() {
 fn warm_cache_rerun_performs_zero_recompilations() {
     let spec = acceptance_spec();
     let cache = EvalCache::new();
-    let executor = Executor::with_workers(4);
-    let cold = executor.run_spec(&spec, &cache).expect("spec is valid");
+    let cold = run(&spec, &cache);
     let cold_misses = cache.stats().misses;
     let failed = cold.iter().filter(|o| o.result.is_err()).count() as u64;
 
-    let warm = executor.run_spec(&spec, &cache).expect("spec is valid");
+    let warm = run(&spec, &cache);
     // Failed points are never cached (they abort before compiling), so
     // only they may re-miss; every successful point is a warm hit — i.e.
     // the warm run performs zero recompilations.
@@ -79,16 +84,18 @@ fn warm_cache_rerun_performs_zero_recompilations() {
 
 #[test]
 fn facade_sweep_helpers_run_on_the_engine_without_fail_fast() {
-    // The historic cimflow::dse::sweep aborted on the first invalid
-    // configuration; routed through the engine it reports per point.
-    let base = cimflow::ArchConfig::paper_default();
-    let model = cimflow::models::mobilenet_v2(32);
-    let outcomes =
-        cimflow::dse::sweep_outcomes(&base, &model, &[0, 8], &[8], Strategy::GenericMapping);
+    // The historic facade sweep aborted on the first invalid
+    // configuration; an MG x flit sweep through the service reports per
+    // point, in flit-major grid order.
+    let spec = SweepSpec::new()
+        .with_model("mobilenetv2", 32)
+        .with_strategies(&[Strategy::GenericMapping])
+        .with_mg_sizes(&[0, 8])
+        .with_flit_sizes(&[8]);
+    let outcomes = EvalService::new(ServiceConfig::new()).submit_sweep(&spec).unwrap().wait();
     assert_eq!(outcomes.len(), 2);
     assert!(outcomes[0].result.is_err() && outcomes[1].result.is_ok());
-
-    let points =
-        cimflow::dse::sweep(&base, &model, &[0, 8], &[8], Strategy::GenericMapping).unwrap();
-    assert_eq!(points.len(), 1);
+    let points: Vec<_> = outcomes.iter().filter_map(DseOutcome::evaluation).collect();
+    assert_eq!(points.len(), 1, "the valid point survives");
+    assert_eq!(points[0].arch.core.cim_unit.macros_per_group, 8);
 }

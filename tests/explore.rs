@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use cimflow::Strategy;
 use cimflow_dse::{
-    analysis, explore, explore_journaled, EvalCache, EvalService, Executor, ExploreAlgorithm,
-    ExploreSpec, ServiceConfig, SweepJournal, SweepSpec,
+    analysis, explore, explore_journaled, EvalCache, EvalService, ExploreAlgorithm, ExploreSpec,
+    ServiceConfig, SweepJournal, SweepSpec,
 };
 
 /// Per-model frontier objective sets of a batch of outcomes.
@@ -45,7 +45,10 @@ fn small_space() -> SweepSpec {
 fn full_budget_exploration_equals_the_exhaustive_grid_frontier() {
     let space = small_space();
     let cache = EvalCache::new();
-    let grid = Executor::new().run_spec(&space, &cache).unwrap();
+    let grid = EvalService::with_cache(ServiceConfig::new(), cache.clone())
+        .submit_sweep(&space)
+        .unwrap()
+        .wait();
     let expected = frontier_objectives(&grid);
 
     for algorithm in [ExploreAlgorithm::SuccessiveHalving, ExploreAlgorithm::Evolutionary] {
@@ -72,8 +75,7 @@ mod properties {
     // proptest prelude's `Strategy` trait: name the test deps instead.
     use super::frontier_objectives;
     use cimflow_dse::{
-        explore, EvalCache, EvalService, Executor, ExploreAlgorithm, ExploreSpec, ServiceConfig,
-        SweepSpec,
+        explore, EvalCache, EvalService, ExploreAlgorithm, ExploreSpec, ServiceConfig, SweepSpec,
     };
     use proptest::prelude::*;
 
@@ -94,7 +96,7 @@ mod properties {
                 .with_mg_sizes(&mg_values[..mg_axis])
                 .with_flit_sizes(&flit_values[..flit_axis]);
             let cache = EvalCache::new();
-            let grid = Executor::new().run_spec(&space, &cache).unwrap();
+            let grid = EvalService::with_cache(ServiceConfig::new(), cache.clone()).submit_sweep(&space).unwrap().wait();
             let algorithm = if halving {
                 ExploreAlgorithm::SuccessiveHalving
             } else {

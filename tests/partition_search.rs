@@ -6,7 +6,7 @@
 use cimflow::compiler::{compile, compile_with_options, CompileOptions};
 use cimflow::sim::{HandoffMode, SimOptions, Simulator};
 use cimflow::{models, ArchConfig, SearchMode, Strategy};
-use cimflow_dse::{evaluate_with_search, EvalCache, Executor, SweepSpec};
+use cimflow_dse::{evaluate_with_search, EvalCache, EvalService, ServiceConfig, SweepSpec};
 
 fn options(search: SearchMode) -> CompileOptions {
     CompileOptions { strategy: Strategy::DpOptimized, search, ..CompileOptions::default() }
@@ -127,7 +127,8 @@ fn search_mode_sweeps_run_end_to_end_with_distinct_cache_keys() {
         .with_search_modes(&[SearchMode::Sequential, SearchMode::Joint])
         .with_chip_counts(&[2]);
     let cache = EvalCache::new();
-    let outcomes = Executor::with_workers(2).run_spec(&spec, &cache).unwrap();
+    let service = EvalService::with_cache(ServiceConfig::new().with_workers(2), cache.clone());
+    let outcomes = service.submit_sweep(&spec).unwrap().wait();
     assert_eq!(outcomes.len(), 2);
     assert!(outcomes.iter().all(|o| o.result.is_ok()));
     assert_eq!(cache.len(), 2, "sequential and joint results occupy distinct slots");
