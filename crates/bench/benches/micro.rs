@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the framework components: ISA
 //! encode/decode, graph construction and condensation, dependency-closure
-//! enumeration + DP partitioning, NoC transfers and a full
+//! enumeration + DP partitioning (whole compile, and the partitioner
+//! alone), NoC transfers and a full
 //! compile-and-simulate run of a compact model.
 //!
 //! These are ablation/overhead benches supporting the design decisions
@@ -10,6 +11,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use cimflow::compiler::cost::CostModel;
+use cimflow::compiler::partition::dp_partition;
 use cimflow::compiler::{compile, CondensedGraph, Strategy};
 use cimflow::isa::{decode, encode, GReg, Instruction};
 use cimflow::noc::{Mesh, NocConfig};
@@ -49,6 +52,14 @@ fn bench_partitioning(c: &mut Criterion) {
     c.bench_function("compiler/dp_compile_mobilenet_v2", |b| {
         b.iter(|| {
             black_box(compile(black_box(&model), &arch, Strategy::DpOptimized).expect("compilable"))
+        })
+    });
+    let condensed =
+        CondensedGraph::from_graph(&models::efficientnet_b0(64).graph).expect("condensable");
+    let cost_model = CostModel::new(&arch);
+    c.bench_function("compiler/dp_partition_efficientnet_b0", |b| {
+        b.iter(|| {
+            black_box(dp_partition(black_box(&condensed), &cost_model).expect("partitionable"))
         })
     });
     c.bench_function("compiler/generic_compile_mobilenet_v2", |b| {

@@ -51,6 +51,14 @@ pub struct StageCost {
     pub energy_pj: f64,
 }
 
+/// A group's entry into the greedy duplication loop (see
+/// [`CostModel::group_start`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroupStart {
+    cores: u32,
+    cycles: u64,
+}
+
 /// The compiler-side cost model.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -200,34 +208,34 @@ impl CostModel {
         let mut sum = 0u64;
         let mut energy = 0.0f64;
         let mut stage_weight_bytes = 0u64;
-        let member: std::collections::BTreeSet<usize> = groups.iter().map(|g| g.index).collect();
-        let mut boundary_bytes = 0u64;
         for (group, m) in groups.iter().zip(mapping) {
             let cycles = self.group_cycles(group, m.cores_per_replica, m.replicas);
             bottleneck = bottleneck.max(cycles);
             sum += cycles;
             energy += self.group_energy_pj(group, m.cores_per_replica, m.replicas);
             stage_weight_bytes += group.metrics.weight_bytes * u64::from(m.replicas);
-            // Activations arriving from outside the stage are filled from
-            // global memory — the other half of the stage-boundary penalty.
-            boundary_bytes += group
-                .preds
-                .iter()
-                .filter(|d| !member.contains(&d.group))
-                .map(|d| d.bytes)
-                .sum::<u64>();
-            if group.reads_graph_input {
-                boundary_bytes += group.metrics.input_bytes;
-            }
         }
-        let reload = self.weight_reload_cycles(stage_weight_bytes)
-            + self.arch.chip().global_memory.transfer_cycles(boundary_bytes);
+        let boundary_bytes = boundary_bytes(groups);
         energy += self.energy.cim.weight_load_pj(stage_weight_bytes)
             + self.energy.global_memory_energy(stage_weight_bytes + boundary_bytes).total_pj();
-        // Pipelined stage latency: the bottleneck group dominates, the
-        // remaining groups contribute their pipeline-fill share.
-        let cycles = bottleneck + sum / 16 + reload;
+        let boundary_cycles = self.arch.chip().global_memory.transfer_cycles(boundary_bytes);
+        let cycles = self.stage_cycles(bottleneck, sum, stage_weight_bytes, boundary_cycles);
         StageCost { cycles, energy_pj: energy }
+    }
+
+    /// The stage-latency formula shared by [`Self::stage_cost`] and the
+    /// greedy duplication loop: the bottleneck group dominates, the
+    /// remaining groups contribute their pipeline-fill share, and the
+    /// stage pays its weight reload plus the fill of activations arriving
+    /// from outside it (`boundary_cycles`).
+    fn stage_cycles(
+        &self,
+        bottleneck: u64,
+        sum: u64,
+        stage_weight_bytes: u64,
+        boundary_cycles: u64,
+    ) -> u64 {
+        bottleneck + sum / 16 + self.weight_reload_cycles(stage_weight_bytes) + boundary_cycles
     }
 
     /// Chooses cores-per-replica and duplication factors for the groups of
@@ -236,70 +244,138 @@ impl CostModel {
     /// Returns `None` when the stage cannot fit the chip even without
     /// duplication. Otherwise the allocation starts from the
     /// capacity-imposed minimum and spends the vacant cores on duplicating
-    /// the groups with the largest estimated execution time.
+    /// the groups with the largest estimated execution time, evaluated
+    /// incrementally (see [`Self::mapping_with_duplication`]).
     pub fn optimal_mapping(&self, groups: &[&OpGroup]) -> Option<(StageCost, Vec<GroupMapping>)> {
         self.mapping_with_duplication(groups, true)
     }
 
     /// Same as [`Self::optimal_mapping`] but optionally disabling
     /// duplication (used by the generic-mapping baseline).
+    ///
+    /// The greedy loop prices candidates in cycles only. It computes the
+    /// stage's boundary-transfer cycles once, keeps every group's cycles,
+    /// their sum and the stage weight bytes, and prices each candidate
+    /// replica with one [`Self::group_cycles`] call plus integer
+    /// arithmetic. A candidate is accepted only if it strictly lowers the
+    /// stage cycles. The energy of the returned [`StageCost`] comes from
+    /// one [`Self::stage_cost`] call on the final mapping.
     pub fn mapping_with_duplication(
         &self,
         groups: &[&OpGroup],
         duplicate: bool,
     ) -> Option<(StageCost, Vec<GroupMapping>)> {
+        let (_, mapping) = self.greedy_mapping(groups, |g| self.group_start(g), duplicate)?;
+        Some((self.stage_cost(groups, &mapping), mapping))
+    }
+
+    /// Where a group enters the greedy duplication loop: the
+    /// capacity-imposed minimum cores per replica and its cycles with one
+    /// replica. It depends on the group only, so the DP computes it once
+    /// per group rather than once per candidate stage.
+    pub(crate) fn group_start(&self, group: &OpGroup) -> GroupStart {
+        let cores = self.min_cores(group);
+        GroupStart { cores, cycles: self.group_cycles(group, cores, 1) }
+    }
+
+    /// The cycles-only greedy behind [`Self::mapping_with_duplication`]:
+    /// returns the stage cycles (equal to `stage_cost(groups,
+    /// &mapping).cycles`) and the mapping. `start` must return
+    /// [`Self::group_start`] of the group it is given.
+    pub(crate) fn greedy_mapping(
+        &self,
+        groups: &[&OpGroup],
+        start: impl Fn(&OpGroup) -> GroupStart,
+        duplicate: bool,
+    ) -> Option<(u64, Vec<GroupMapping>)> {
         if groups.is_empty() {
             return None;
         }
-        let total = self.total_cores();
-        let mut mapping: Vec<GroupMapping> = groups
-            .iter()
-            .map(|g| GroupMapping {
-                group: g.index,
-                cores_per_replica: self.min_cores(g),
+        let mut mapping = Vec::with_capacity(groups.len());
+        let mut per_group = Vec::with_capacity(groups.len());
+        for group in groups {
+            let GroupStart { cores, cycles } = start(group);
+            mapping.push(GroupMapping {
+                group: group.index,
+                cores_per_replica: cores,
                 replicas: 1,
-            })
-            .collect();
+            });
+            per_group.push(cycles);
+        }
         let used: u32 = mapping.iter().map(GroupMapping::total_cores).sum();
+        let total = self.total_cores();
         if used > total {
             return None;
         }
-        let mut cost = self.stage_cost(groups, &mapping);
-        if duplicate {
-            let mut remaining = total - used;
-            // Greedy refinement: repeatedly duplicate the group with the
-            // largest estimated time while vacant cores remain and the
-            // whole-stage estimate (including the extra weight reload the
-            // duplicate causes) keeps improving.
-            loop {
-                let mut best: Option<(usize, u64, u32)> = None;
-                for (i, m) in mapping.iter().enumerate() {
-                    let cost_now = self.group_cycles(groups[i], m.cores_per_replica, m.replicas);
-                    let extra = m.cores_per_replica;
-                    if extra <= remaining {
-                        match best {
-                            Some((_, best_cost, _)) if cost_now <= best_cost => {}
-                            _ => best = Some((i, cost_now, extra)),
-                        }
-                    }
-                }
-                let Some((i, _, extra)) = best else { break };
-                mapping[i].replicas += 1;
-                let candidate = self.stage_cost(groups, &mapping);
-                if candidate.cycles < cost.cycles {
-                    cost = candidate;
-                    remaining -= extra;
-                    if remaining == 0 {
-                        break;
-                    }
-                } else {
-                    mapping[i].replicas -= 1;
-                    break;
+        let boundary_cycles =
+            self.arch.chip().global_memory.transfer_cycles(boundary_bytes(groups));
+        let mut sum: u64 = per_group.iter().sum();
+        let mut weight_bytes: u64 = groups.iter().map(|g| g.metrics.weight_bytes).sum();
+        let bottleneck = per_group.iter().copied().max().unwrap_or(0);
+        let mut cycles = self.stage_cycles(bottleneck, sum, weight_bytes, boundary_cycles);
+        if !duplicate {
+            return Some((cycles, mapping));
+        }
+        let mut remaining = total - used;
+        // Greedy refinement: repeatedly duplicate the group with the
+        // largest estimated time (the first one on ties) while vacant cores
+        // remain and the whole-stage estimate (including the extra weight
+        // reload the duplicate causes) keeps improving.
+        loop {
+            let mut best: Option<usize> = None;
+            for (i, (m, &c)) in mapping.iter().zip(&per_group).enumerate() {
+                if m.cores_per_replica <= remaining && best.is_none_or(|b| c > per_group[b]) {
+                    best = Some(i);
                 }
             }
+            let Some(i) = best else { break };
+            let m = mapping[i];
+            let grown = self.group_cycles(groups[i], m.cores_per_replica, m.replicas + 1);
+            let others = per_group
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .map(|(_, c)| *c)
+                .max()
+                .unwrap_or(0);
+            let candidate = self.stage_cycles(
+                others.max(grown),
+                sum - per_group[i] + grown,
+                weight_bytes + groups[i].metrics.weight_bytes,
+                boundary_cycles,
+            );
+            if candidate >= cycles {
+                break;
+            }
+            mapping[i].replicas += 1;
+            sum = sum - per_group[i] + grown;
+            per_group[i] = grown;
+            weight_bytes += groups[i].metrics.weight_bytes;
+            cycles = candidate;
+            remaining -= m.cores_per_replica;
+            if remaining == 0 {
+                break;
+            }
         }
-        Some((cost, mapping))
+        Some((cycles, mapping))
     }
+}
+
+/// Activation bytes a stage fills from global memory: every edge from a
+/// producer outside the stage, plus the graph input.
+fn boundary_bytes(groups: &[&OpGroup]) -> u64 {
+    let len = groups.iter().map(|g| g.index + 1).max().unwrap_or(0);
+    let mut member = vec![false; len];
+    groups.iter().for_each(|g| member[g.index] = true);
+    let graph_input: u64 =
+        groups.iter().filter(|g| g.reads_graph_input).map(|g| g.metrics.input_bytes).sum();
+    let edges: u64 = groups
+        .iter()
+        .flat_map(|g| &g.preds)
+        .filter(|d| !member.get(d.group).copied().unwrap_or(false))
+        .map(|d| d.bytes)
+        .sum();
+    graph_input + edges
 }
 
 #[cfg(test)]
@@ -405,5 +481,137 @@ mod tests {
         // … and a faster link reduces the serialization share.
         let fast = CostModel::new(&arch.with_interchip_link_bytes(256));
         assert!(fast.interchip_transfer_cycles(64 * 1024, 1) < large);
+    }
+
+    mod properties {
+        use super::*;
+        use crate::bitset::BitMask256;
+        use crate::partition::dependency_closures;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// The full-recompute greedy the incremental loop replaced: it
+        /// re-runs `stage_cost` after every added replica. Kept here only
+        /// as the reference the property compares against.
+        fn reference_mapping(
+            model: &CostModel,
+            groups: &[&OpGroup],
+            duplicate: bool,
+        ) -> Option<(StageCost, Vec<GroupMapping>)> {
+            if groups.is_empty() {
+                return None;
+            }
+            let total = model.total_cores();
+            let mut mapping: Vec<GroupMapping> = groups
+                .iter()
+                .map(|g| GroupMapping {
+                    group: g.index,
+                    cores_per_replica: model.min_cores(g),
+                    replicas: 1,
+                })
+                .collect();
+            let used: u32 = mapping.iter().map(GroupMapping::total_cores).sum();
+            if used > total {
+                return None;
+            }
+            let mut cost = model.stage_cost(groups, &mapping);
+            if duplicate {
+                let mut remaining = total - used;
+                loop {
+                    let mut best: Option<(usize, u64, u32)> = None;
+                    for (i, m) in mapping.iter().enumerate() {
+                        let cost_now =
+                            model.group_cycles(groups[i], m.cores_per_replica, m.replicas);
+                        let extra = m.cores_per_replica;
+                        if extra <= remaining {
+                            match best {
+                                Some((_, best_cost, _)) if cost_now <= best_cost => {}
+                                _ => best = Some((i, cost_now, extra)),
+                            }
+                        }
+                    }
+                    let Some((i, _, extra)) = best else { break };
+                    mapping[i].replicas += 1;
+                    let candidate = model.stage_cost(groups, &mapping);
+                    if candidate.cycles < cost.cycles {
+                        cost = candidate;
+                        remaining -= extra;
+                        if remaining == 0 {
+                            break;
+                        }
+                    } else {
+                        mapping[i].replicas -= 1;
+                        break;
+                    }
+                }
+            }
+            Some((cost, mapping))
+        }
+
+        /// The four seed models' condensed graphs at two resolutions, with
+        /// their dependency closures.
+        fn graphs() -> &'static [(CondensedGraph, Vec<BitMask256>)] {
+            static GRAPHS: OnceLock<Vec<(CondensedGraph, Vec<BitMask256>)>> = OnceLock::new();
+            GRAPHS.get_or_init(|| {
+                let mut graphs = Vec::new();
+                for name in ["mobilenetv2", "efficientnetb0", "resnet18", "vgg19"] {
+                    for resolution in [32, 64] {
+                        let model = models::by_name(name, resolution).expect("seed model");
+                        let graph = CondensedGraph::from_graph(&model.graph).expect("condenses");
+                        let closures = dependency_closures(&graph);
+                        graphs.push((graph, closures));
+                    }
+                }
+                graphs
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            #[test]
+            fn incremental_greedy_matches_the_full_recompute_loop(
+                graph in 0usize..8,
+                (outer, inner) in (any::<u64>(), any::<u64>()),
+                mg in prop_oneof![Just(2u32), Just(4u32), Just(8u32), Just(16u32)],
+                flit in prop_oneof![Just(4u32), Just(8u32), Just(16u32), Just(32u32)],
+                cores in 4u32..97,
+                duplicate in any::<bool>(),
+            ) {
+                let (graph, closures) = &graphs()[graph];
+                // A random closure difference D[i] \ D[j] with D[j] ⊊ D[i].
+                let i = 1 + (outer % (closures.len() as u64 - 1)) as usize;
+                let below: Vec<usize> = (0..i)
+                    .filter(|j| closures[*j].is_subset_of(&closures[i]) && closures[*j] != closures[i])
+                    .collect();
+                let j = below[(inner % below.len() as u64) as usize];
+                let stage = closures[i].difference(&closures[j]);
+                let groups: Vec<&OpGroup> = stage.iter().map(|g| &graph.groups()[g]).collect();
+
+                let arch = ArchConfig::paper_default()
+                    .with_macros_per_group(mg)
+                    .with_flit_bytes(flit)
+                    .with_core_count(cores);
+                let model = CostModel::new(&arch);
+                let starts: Vec<GroupStart> =
+                    graph.groups().iter().map(|g| model.group_start(g)).collect();
+
+                // Check 1: the cycles-only greedy (fed like the DP feeds it)
+                // reports exactly the cycles `stage_cost` gives its mapping.
+                let greedy = model.greedy_mapping(&groups, |g| starts[g.index], duplicate);
+                if let Some((cycles, mapping)) = &greedy {
+                    prop_assert_eq!(*cycles, model.stage_cost(&groups, mapping).cycles);
+                }
+                // Check 2: the public entry point equals the full-recompute
+                // loop, mapping and cost (energy bits included).
+                let incremental = model.mapping_with_duplication(&groups, duplicate);
+                let reference = reference_mapping(&model, &groups, duplicate);
+                prop_assert_eq!(
+                    incremental.as_ref().map(|(c, m)| (c.cycles, c.energy_pj.to_bits(), m)),
+                    reference.as_ref().map(|(c, m)| (c.cycles, c.energy_pj.to_bits(), m))
+                );
+                prop_assert_eq!(greedy.map(|(_, m)| m), incremental.map(|(_, m)| m));
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crate::bitset::BitMask256;
-use crate::cost::{CostModel, GroupMapping, StageCost};
+use crate::cost::{CostModel, GroupMapping, GroupStart, StageCost};
 use crate::frontend::{CondensedGraph, OpGroup};
 use crate::CompileError;
 
@@ -114,6 +114,12 @@ fn groups_of<'a>(condensed: &'a CondensedGraph, mask: &BitMask256) -> Vec<&'a Op
 /// set difference as a candidate stage mapped with
 /// [`CostModel::optimal_mapping`].
 ///
+/// The DP itself runs on cycles only: each distinct stage is priced once
+/// by the cycles-only greedy behind [`CostModel::optimal_mapping`] and
+/// only its cycles are cached. The mapping and energy are computed, by
+/// `optimal_mapping` itself, only for the stages of the reconstructed
+/// optimum.
+///
 /// # Errors
 ///
 /// Returns [`CompileError::CapacityExceeded`] if some operator group can
@@ -127,9 +133,9 @@ pub fn dp_partition(
     let full = BitMask256::full(condensed.len());
     let mut dp: Vec<f64> = vec![f64::INFINITY; closures.len()];
     let mut prev: Vec<Option<usize>> = vec![None; closures.len()];
-    let mut stage_of: Vec<Option<PlannedStage>> = vec![None; closures.len()];
-    let mut mapping_cache: HashMap<BitMask256, Option<(StageCost, Vec<GroupMapping>)>> =
-        HashMap::new();
+    let starts: Vec<GroupStart> =
+        condensed.groups().iter().map(|g| cost_model.group_start(g)).collect();
+    let mut cycles_cache: HashMap<BitMask256, Option<u64>> = HashMap::new();
 
     for (i, closure) in closures.iter().enumerate() {
         if closure.is_empty() {
@@ -144,16 +150,15 @@ pub fn dp_partition(
             if stage_mask.is_empty() {
                 continue;
             }
-            let entry = mapping_cache.entry(stage_mask).or_insert_with(|| {
+            let cycles = *cycles_cache.entry(stage_mask).or_insert_with(|| {
                 let stage_groups = groups_of(condensed, &stage_mask);
-                cost_model.optimal_mapping(&stage_groups)
+                cost_model.greedy_mapping(&stage_groups, |g| starts[g.index], true).map(|(c, _)| c)
             });
-            let Some((cost, mapping)) = entry.clone() else { continue };
-            let total = dp[j] + cost.cycles as f64;
+            let Some(cycles) = cycles else { continue };
+            let total = dp[j] + cycles as f64;
             if total < dp[i] {
                 dp[i] = total;
                 prev[i] = Some(j);
-                stage_of[i] = Some((stage_mask.iter().collect(), mapping, cost));
             }
         }
     }
@@ -162,13 +167,16 @@ pub fn dp_partition(
     if dp[full_index].is_infinite() {
         return Err(capacity_error(condensed, cost_model));
     }
-    // Reconstruct the stage sequence.
+    // Reconstruct the stage sequence, mapping and pricing each chosen
+    // stage in full.
     let mut stages = Vec::new();
     let mut cursor = full_index;
     while let Some(j) = prev[cursor] {
-        if let Some(stage) = stage_of[cursor].clone() {
-            stages.push(stage);
-        }
+        let stage_mask = closures[cursor].difference(&closures[j]);
+        let (cost, mapping) = cost_model
+            .optimal_mapping(&groups_of(condensed, &stage_mask))
+            .expect("every DP predecessor link comes from a mappable stage");
+        stages.push((stage_mask.iter().collect(), mapping, cost));
         cursor = j;
     }
     stages.reverse();
@@ -364,6 +372,22 @@ mod tests {
             let dup = duplication_partition(&graph, &cost).unwrap().estimated_cycles();
             assert!(dp <= generic, "dp {dp} vs generic {generic}");
             assert!(dp <= dup, "dp {dp} vs duplication {dup}");
+        }
+    }
+
+    #[test]
+    fn greedy_baselines_partition_graphs_past_the_bitmask_capacity() {
+        // One macro per group on four cores splits VGG19@224 into
+        // hundreds of weight slices; the greedy baselines still plan it.
+        let arch = ArchConfig::paper_default().with_core_count(4).with_macros_per_group(1);
+        let cost = CostModel::new(&arch);
+        let limit = u64::from(arch.chip().core_count) * cost.core_capacity_bytes() * 3 / 4;
+        let vgg =
+            CondensedGraph::from_graph_with_capacity(&models::vgg19(224).graph, limit).unwrap();
+        assert!(vgg.len() > BitMask256::CAPACITY);
+        for decision in [generic_partition(&vgg, &cost), duplication_partition(&vgg, &cost)] {
+            let stages = decision.unwrap().stages;
+            assert_eq!(stages.iter().map(|(g, _, _)| g.len()).sum::<usize>(), vgg.len());
         }
     }
 

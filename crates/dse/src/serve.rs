@@ -26,8 +26,9 @@
 //! Over-quota and queue-full submissions answer
 //! `{"rejected": {"kind": "quota_exceeded", "reason": "..."}}`; malformed
 //! lines answer `{"error": {"message": "..."}}` and keep the connection
-//! open. `{"shutdown": {}}` stops the service and (for the TCP listener)
-//! the accept loop.
+//! open, as do request lines longer than [`MAX_REQUEST_LINE_BYTES`], whose
+//! bytes are discarded up to the next newline. `{"shutdown": {}}` stops
+//! the service and (for the TCP listener) the accept loop.
 //!
 //! The module lives in `cimflow-dse` so the `cimflow-dse serve`
 //! subcommand can host it; the `cimflow-serve` crate re-exports it and
@@ -706,25 +707,68 @@ fn unknown(what: &str, id: u64) -> Response {
     }
 }
 
+/// Longest request line, in bytes without its newline, that
+/// [`serve_connection`] buffers (1 MiB). A longer line is answered with an
+/// error and skipped, so a client that never sends a newline cannot grow
+/// the server's memory without bound.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// Reads one `\n`-terminated line into `line` (without its `\n` or
+/// `\r\n`), buffering at most [`MAX_REQUEST_LINE_BYTES`] of it. Returns
+/// `Ok(None)` at EOF, `Ok(Some(true))` for a line that fits, and
+/// `Ok(Some(false))` for an over-long line, whose remaining bytes are
+/// discarded up to the next newline.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<bool>> {
+    line.clear();
+    let cap = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    if std::io::Read::take(&mut *reader, cap).read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_REQUEST_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
+
 /// Serves one connection: reads newline-delimited JSON requests from
 /// `reader` until EOF (or a shutdown request), writing one JSON response
-/// line each. Returns whether shutdown was requested.
+/// line each. Returns whether shutdown was requested. A line longer than
+/// [`MAX_REQUEST_LINE_BYTES`] gets an error response and the connection
+/// keeps serving.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors on the transport.
+/// Propagates I/O errors on the transport, including a line that is not
+/// UTF-8.
 pub fn serve_connection(
     service: &EvalService,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> std::io::Result<bool> {
     let mut connection = Connection::new(service);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = connection.handle_line(&line);
+    let mut buffer = Vec::new();
+    while let Some(fits) = read_request_line(&mut reader, &mut buffer)? {
+        let (response, shutdown) = if fits {
+            let line = std::str::from_utf8(&buffer)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            connection.handle_line(line)
+        } else {
+            let message =
+                format!("request line longer than {MAX_REQUEST_LINE_BYTES} bytes; skipped");
+            (Response::Error { message }, false)
+        };
         let response =
             serde_json::to_string(&response).expect("response serialization cannot fail");
         writer.write_all(response.as_bytes())?;
@@ -920,8 +964,12 @@ mod tests {
     }
 
     fn responses(service: &EvalService, input: &str) -> Vec<Response> {
+        responses_from(service, input.as_bytes())
+    }
+
+    fn responses_from(service: &EvalService, reader: impl BufRead) -> Vec<Response> {
         let mut output = Vec::new();
-        serve_connection(service, input.as_bytes(), &mut output).expect("in-memory transport");
+        serve_connection(service, reader, &mut output).expect("in-memory transport");
         String::from_utf8(output)
             .unwrap()
             .lines()
@@ -1173,6 +1221,28 @@ mod tests {
             other => panic!("expected an error reply, got {other:?}"),
         }
         assert!(matches!(&responses[1], Response::Stats { .. }));
+    }
+
+    #[test]
+    fn over_long_lines_get_an_error_reply_and_the_connection_keeps_serving() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        // Larger than the cap and than any BufReader chunk, then a valid
+        // request on the next line, then one exactly at the cap.
+        let mut input = "x".repeat(3 * MAX_REQUEST_LINE_BYTES);
+        input.push('\n');
+        input.push_str("{\"stats\":{}}\r\n");
+        input.push_str(&" ".repeat(MAX_REQUEST_LINE_BYTES - 12));
+        input.push_str("{\"stats\":{}}");
+        assert_eq!(input.len() - input.rfind('\n').unwrap() - 1, MAX_REQUEST_LINE_BYTES);
+        let reader = BufReader::new(std::io::Cursor::new(input.into_bytes()));
+        let responses = responses_from(&service, reader);
+        assert_eq!(responses.len(), 3);
+        match &responses[0] {
+            Response::Error { message } => assert!(message.contains("longer than"), "{message}"),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        assert!(matches!(&responses[1], Response::Stats { .. }));
+        assert!(matches!(&responses[2], Response::Stats { .. }));
     }
 
     #[test]
