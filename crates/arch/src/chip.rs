@@ -6,6 +6,13 @@ use serde::{Content, Deserialize, Serialize};
 use crate::memory::GlobalMemoryConfig;
 use crate::ArchError;
 
+/// Largest mesh [`ChipConfig::validate`] accepts, in router positions
+/// (64 times the paper's 8 × 8 mesh). The simulator keeps link state for
+/// every router of every chip, so an unbounded mesh read from a
+/// configuration file or a wire request could ask for gigabytes before
+/// the first cycle runs.
+pub const MAX_MESH_NODES: u64 = 4096;
+
 /// Dimensions of the 2-D mesh NoC connecting the cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MeshDimensions {
@@ -128,6 +135,16 @@ impl ChipConfig {
             return Err(ArchError::invalid(
                 "chip.mesh",
                 format!("mesh of {}x{} has a zero dimension", self.mesh.width, self.mesh.height),
+            ));
+        }
+        let nodes = u64::from(self.mesh.width) * u64::from(self.mesh.height);
+        if nodes > MAX_MESH_NODES {
+            return Err(ArchError::invalid(
+                "chip.mesh",
+                format!(
+                    "mesh of {}x{} has more than {MAX_MESH_NODES} nodes",
+                    self.mesh.width, self.mesh.height
+                ),
             ));
         }
         if self.mesh.nodes() < self.core_count {
@@ -314,6 +331,19 @@ mod tests {
             chip.mesh = mesh;
             let error = chip.validate().unwrap_err();
             assert!(error.to_string().contains("zero dimension"), "{error}");
+        }
+    }
+
+    #[test]
+    fn oversized_meshes_are_rejected_by_validation() {
+        let mut chip = ChipConfig::paper_default();
+        chip.mesh = MeshDimensions::new(64, 64);
+        assert!(chip.validate().is_ok());
+        // 65 x 64 is one row too many; 70000 x 70000 would overflow a u32 node count.
+        for mesh in [MeshDimensions::new(65, 64), MeshDimensions::new(70_000, 70_000)] {
+            chip.mesh = mesh;
+            let error = chip.validate().unwrap_err();
+            assert!(error.to_string().contains("more than 4096 nodes"), "{error}");
         }
     }
 

@@ -30,6 +30,7 @@ pub struct AddressMap {
 
 impl AddressMap {
     /// Whether `addr` falls into the global-memory window.
+    #[inline]
     pub fn is_global(&self, addr: u64) -> bool {
         addr >= self.global_base
     }
@@ -88,6 +89,7 @@ impl ArchConfig {
     }
 
     /// The chip-level configuration (shared by all chips of the system).
+    #[inline]
     pub fn chip(&self) -> &ChipConfig {
         &self.system.chip
     }

@@ -50,10 +50,10 @@ mod memory;
 mod system;
 mod unit;
 
-pub use chip::{ChipConfig, MeshDimensions};
+pub use chip::{ChipConfig, MeshDimensions, MAX_MESH_NODES};
 pub use config::{AddressMap, ArchConfig};
 pub use core::{CoreConfig, RegisterFileConfig};
 pub use error::ArchError;
 pub use memory::{GlobalMemoryConfig, LocalMemoryConfig, SegmentKind};
-pub use system::{InterChipConfig, InterChipTopology, SystemConfig};
+pub use system::{InterChipConfig, InterChipTopology, SystemConfig, MAX_CHIP_COUNT};
 pub use unit::{CimUnitConfig, ElementConfig, MacroConfig, ScalarUnitConfig, VectorUnitConfig};

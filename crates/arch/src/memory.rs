@@ -58,6 +58,7 @@ impl LocalMemoryConfig {
     }
 
     /// Cycles to transfer `bytes` to or from local memory.
+    #[inline]
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;
@@ -122,6 +123,7 @@ impl GlobalMemoryConfig {
     }
 
     /// Cycles occupied on the global-memory port by a `bytes` transfer.
+    #[inline]
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;

@@ -13,6 +13,12 @@ use serde::{Content, Deserialize, Serialize};
 use crate::chip::ChipConfig;
 use crate::ArchError;
 
+/// Largest chip count [`SystemConfig::validate`] accepts. The simulator
+/// keeps one mesh per chip and one link slot per ordered chip pair, so
+/// an unbounded count from a configuration file or a wire request could
+/// ask for gigabytes before the first cycle runs.
+pub const MAX_CHIP_COUNT: u32 = 64;
+
 /// Topology of the chip-to-chip interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InterChipTopology {
@@ -126,6 +132,12 @@ impl SystemConfig {
         if self.chip_count == 0 {
             return Err(ArchError::invalid("system.chip_count", "must be positive"));
         }
+        if self.chip_count > MAX_CHIP_COUNT {
+            return Err(ArchError::invalid(
+                "system.chip_count",
+                format!("{} chips is more than {MAX_CHIP_COUNT}", self.chip_count),
+            ));
+        }
         self.interconnect.validate()?;
         self.chip.validate()
     }
@@ -231,6 +243,11 @@ mod tests {
         let mut system = SystemConfig::default();
         system.interconnect.link_bytes_per_cycle = 0;
         assert!(system.validate().is_err());
+        let system = SystemConfig { chip_count: MAX_CHIP_COUNT, ..SystemConfig::default() };
+        assert!(system.validate().is_ok());
+        let system = SystemConfig { chip_count: MAX_CHIP_COUNT + 1, ..SystemConfig::default() };
+        let error = system.validate().unwrap_err();
+        assert!(error.to_string().contains("more than 64"), "{error}");
     }
 
     #[test]

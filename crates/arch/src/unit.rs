@@ -109,16 +109,19 @@ impl CimUnitConfig {
     }
 
     /// INT-weight output channels produced by one macro per operation.
+    #[inline]
     pub fn output_channels_per_macro(&self) -> u32 {
         self.macro_geometry.cols / self.weight_bits.max(1)
     }
 
     /// INT-weight output channels produced by one macro group per operation.
+    #[inline]
     pub fn output_channels_per_group(&self) -> u32 {
         self.output_channels_per_macro() * self.macros_per_group
     }
 
     /// Input rows activated per operation (the reduction dimension tile).
+    #[inline]
     pub fn rows_per_operation(&self) -> u32 {
         self.macro_geometry.rows
     }
@@ -143,6 +146,7 @@ impl CimUnitConfig {
 
     /// Multiply-accumulate operations performed by one macro-group
     /// operation that activates `rows` input rows.
+    #[inline]
     pub fn macs_per_group_operation(&self, rows: u32) -> u64 {
         u64::from(rows.min(self.rows_per_operation())) * u64::from(self.output_channels_per_group())
     }
@@ -156,6 +160,7 @@ impl CimUnitConfig {
     /// all elements of the macro group operate in parallel and reduce
     /// through a pipelined adder tree of depth
     /// `log2(rows / element_rows)`.
+    #[inline]
     pub fn mvm_latency_cycles(&self, rows: u32) -> u64 {
         let rows = rows.clamp(1, self.rows_per_operation());
         let leaves = (rows / self.element_geometry.rows.max(1)).max(1);
@@ -165,6 +170,7 @@ impl CimUnitConfig {
 
     /// Cycles during which the macro group is busy issuing one MVM that
     /// activates `rows` rows (bit phases × serialized element rows).
+    #[inline]
     pub fn mvm_issue_cycles(&self, rows: u32) -> u64 {
         let rows = rows.clamp(1, self.rows_per_operation());
         let row_steps = u64::from(rows.min(self.element_geometry.rows.max(1)));
@@ -184,6 +190,7 @@ impl CimUnitConfig {
     /// Weight loading is a plain SRAM write of `output channels` bytes per
     /// row, performed one row per cycle per macro (macros in a group load
     /// in parallel).
+    #[inline]
     pub fn weight_load_cycles(&self, rows: u32) -> u64 {
         u64::from(rows.clamp(1, self.rows_per_operation()))
     }
@@ -265,6 +272,7 @@ impl VectorUnitConfig {
     }
 
     /// Cycles to process `elems` elements.
+    #[inline]
     pub fn cycles_for(&self, elems: u64) -> u64 {
         if elems == 0 {
             return 0;

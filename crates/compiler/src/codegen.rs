@@ -26,6 +26,7 @@ use cimflow_isa::{
 use crate::frontend::{CondensedGraph, OpGroup};
 use crate::oplevel::OpTiling;
 use crate::plan::{ClusterPlan, CompilationPlan};
+use crate::validate;
 use crate::CompileError;
 
 /// Static manifest of the inter-core transfers emitted by code
@@ -73,7 +74,9 @@ const VLEN: u8 = 15; // fused vector work length per tile
 /// # Errors
 ///
 /// Returns a [`CompileError::Codegen`] if an emitted program fails label
-/// resolution or structural validation.
+/// resolution or structural validation, and
+/// [`CompileError::ValidationFailed`] as soon as a core's program outgrows
+/// its instruction memory.
 pub fn generate(
     condensed: &CondensedGraph,
     plan: &CompilationPlan,
@@ -355,6 +358,7 @@ fn emit_group_inputs(
                     let bytes = u64::from(tile_pixels(&producer_tiling, t))
                         * u64::from(producer_tiling.output_bytes_per_pixel_per_core);
                     let b = &mut builders[core as usize];
+                    validate::check_program_length(core as usize, b.len(), arch)?;
                     b.load_immediate(r(OUT_PTR), in_seg)?;
                     b.load_immediate(r(LEN), bytes.min(u64::from(u32::MAX)) as u32)?;
                     b.load_immediate(r(PEER), *producer_core)?;
@@ -424,6 +428,7 @@ fn emit_group_body(
     // output pixels are processed per loop iteration, one per copy.
     let copies = tiling.intra_core_duplication(arch.core.cim_unit.macro_groups);
     for tile in 0..tiling.pixel_tiles {
+        validate::check_program_length(core as usize, b.len(), arch)?;
         let pixels = tile_pixels(tiling, tile);
         b.load_immediate(r(IN_PTR), in_seg)?;
         b.load_immediate(r(OUT_PTR), out_seg)?;

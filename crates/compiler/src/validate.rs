@@ -59,13 +59,25 @@ fn check_programs(generated: &GeneratedCode, arch: &ArchConfig) -> Result<(), Co
         if !program.is_halting() {
             return Err(fail(format!("program of core {core} does not end with halt")));
         }
-        if program.len() > arch.core.instruction_memory_entries as usize {
-            return Err(fail(format!(
-                "program of core {core} has {} instructions but the instruction memory holds {}",
-                program.len(),
-                arch.core.instruction_memory_entries
-            )));
-        }
+        check_program_length(core, program.len(), arch)?;
+    }
+    Ok(())
+}
+
+/// Fails once a core's program of `len` instructions no longer fits its
+/// instruction memory. Code generation applies the same check as programs
+/// grow, so an oversized program is refused before it is fully unrolled.
+pub(crate) fn check_program_length(
+    core: usize,
+    len: usize,
+    arch: &ArchConfig,
+) -> Result<(), CompileError> {
+    let entries = arch.core.instruction_memory_entries;
+    if len > entries as usize {
+        return Err(fail(format!(
+            "program of core {core} has {len} instructions but the instruction memory holds \
+             {entries}"
+        )));
     }
     Ok(())
 }
@@ -216,5 +228,25 @@ mod tests {
             manifest: TransferManifest::default(),
         };
         assert!(check_programs(&generated, &arch).is_err(), "empty programs never halt");
+    }
+
+    #[test]
+    fn oversized_programs_fail_before_they_are_fully_unrolled() {
+        // At 65536 px core 0's unrolled program would hold billions of
+        // instructions; code generation must refuse it once it outgrows
+        // the instruction memory instead of materializing it.
+        let arch = ArchConfig::paper_default();
+        let error = compile_with_options(
+            &models::resnet18(65536),
+            &arch,
+            CompileOptions { strategy: Strategy::GenericMapping, ..CompileOptions::default() },
+        )
+        .expect_err("the program cannot fit the instruction memory");
+        match error {
+            CompileError::ValidationFailed { reason } => {
+                assert!(reason.contains("instruction memory holds"), "{reason}");
+            }
+            other => panic!("expected a validation failure, got {other:?}"),
+        }
     }
 }

@@ -1212,6 +1212,80 @@ mod tests {
     }
 
     #[test]
+    fn oversized_programs_get_an_error_outcome_and_the_connection_keeps_serving() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        // At 65536 px the generated program would need gigabytes; the
+        // compiler refuses it at the instruction-memory bound instead of
+        // aborting the process on a failed allocation.
+        let input = [
+            r#"{"submit":{"model":{"name":"resnet18","resolution":65536},"strategy":"generic"}}"#,
+            r#"{"wait":{"job":1}}"#,
+            r#"{"stats":{}}"#,
+            r#"{"submit":{"model":{"name":"mobilenetv2","resolution":32},"strategy":"generic"}}"#,
+            r#"{"wait":{"job":2}}"#,
+        ]
+        .join("\n");
+        let responses = responses(&service, &input);
+        assert_eq!(responses.len(), 5, "every line is answered");
+        assert_eq!(responses[0], Response::Accepted { job: 1 });
+        match &responses[1] {
+            Response::Result(outcome) => {
+                assert!(!outcome.ok);
+                let error = outcome.error.as_deref().unwrap_or_default();
+                assert!(error.contains("instruction memory"), "{error}");
+            }
+            other => panic!("expected a failed result, got {other:?}"),
+        }
+        assert!(matches!(&responses[2], Response::Stats { .. }), "{:?}", responses[2]);
+        match &responses[4] {
+            Response::Result(outcome) => assert!(outcome.ok, "the next valid request is answered"),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_meshes_and_chip_counts_get_error_outcomes_and_the_connection_keeps_serving() {
+        let service = EvalService::new(ServiceConfig::new().with_workers(1));
+        // A 50000 x 50000 mesh barely changes the compile, but its link
+        // table alone would need tens of gigabytes; so would the fabric of
+        // 100000 chips. Validation refuses both before anything is sized.
+        let mut huge_mesh = cimflow_arch::ArchConfig::paper_default();
+        huge_mesh.system.chip.mesh = cimflow_arch::MeshDimensions::new(50_000, 50_000);
+        let input = lines(&[
+            Request::Submit(Box::new(
+                EvalRequest::new("resnet18", 32, Strategy::GenericMapping).with_base(huge_mesh),
+            )),
+            Request::Wait { target: Target::Job(1), timeout_ms: None },
+            Request::Submit(Box::new(
+                EvalRequest::new("resnet18", 32, Strategy::GenericMapping).with_chip_count(100_000),
+            )),
+            Request::Wait { target: Target::Job(2), timeout_ms: None },
+            Request::Submit(Box::new(EvalRequest::new(
+                "mobilenetv2",
+                32,
+                Strategy::GenericMapping,
+            ))),
+            Request::Wait { target: Target::Job(3), timeout_ms: None },
+        ]);
+        let responses = responses(&service, &input);
+        assert_eq!(responses.len(), 6, "every line is answered");
+        for (response, field) in [(&responses[1], "chip.mesh"), (&responses[3], "chip_count")] {
+            match response {
+                Response::Result(outcome) => {
+                    assert!(!outcome.ok);
+                    let error = outcome.error.as_deref().unwrap_or_default();
+                    assert!(error.contains(field) && error.contains("more than"), "{error}");
+                }
+                other => panic!("expected a failed result, got {other:?}"),
+            }
+        }
+        match &responses[5] {
+            Response::Result(outcome) => assert!(outcome.ok, "the next valid request is answered"),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn overly_nested_lines_get_an_error_reply_and_the_connection_keeps_serving() {
         let service = EvalService::new(ServiceConfig::new().with_workers(1));
         let input = format!("{}\n{}\n", "[".repeat(200_000), r#"{"stats":{}}"#);

@@ -53,11 +53,13 @@ impl CimEnergyModel {
     }
 
     /// Energy of `macs` multiply-accumulates.
+    #[inline]
     pub fn compute_pj(&self, macs: u64) -> f64 {
         self.mac_pj * macs as f64
     }
 
     /// Energy of programming `bytes` of weights into the arrays.
+    #[inline]
     pub fn weight_load_pj(&self, bytes: u64) -> f64 {
         self.weight_write_pj_per_byte * bytes as f64
     }
@@ -91,16 +93,19 @@ impl SramEnergyModel {
     }
 
     /// Energy of reading `bytes` from local memory.
+    #[inline]
     pub fn local_read_pj(&self, bytes: u64) -> f64 {
         self.local_read_pj_per_byte * bytes as f64
     }
 
     /// Energy of writing `bytes` to local memory.
+    #[inline]
     pub fn local_write_pj(&self, bytes: u64) -> f64 {
         self.local_write_pj_per_byte * bytes as f64
     }
 
     /// Energy of accessing `bytes` of global memory.
+    #[inline]
     pub fn global_pj(&self, bytes: u64) -> f64 {
         self.global_pj_per_byte * bytes as f64
     }
@@ -136,6 +141,7 @@ impl NocEnergyModel {
     /// transfers on 16-byte links more expensive than on 8-byte links and
     /// reproduces the Fig. 6 observation that compact models spend a large
     /// energy share in the NoC at high link bandwidth.
+    #[inline]
     pub fn transfer_pj(&self, flits: u64, flit_bytes: u32, hops: u32) -> f64 {
         let wire_bytes = flits as f64 * f64::from(flit_bytes);
         self.link_pj_per_byte_hop * wire_bytes * f64::from(hops)
@@ -169,6 +175,7 @@ impl InterChipEnergyModel {
     }
 
     /// Energy of moving `bytes` over `hops` chip-to-chip links.
+    #[inline]
     pub fn transfer_pj(&self, bytes: u64, hops: u32) -> f64 {
         if bytes == 0 {
             return 0.0;

@@ -191,6 +191,7 @@ impl ScalarAluOp {
     ///
     /// Division and remainder by zero return zero, matching the simulator's
     /// hardware model (no traps).
+    #[inline]
     pub fn eval(self, a: i32, b: i32) -> i32 {
         match self {
             ScalarAluOp::Add => a.wrapping_add(b),
@@ -458,6 +459,7 @@ pub enum Instruction {
 
 impl Instruction {
     /// Returns the opcode of the instruction.
+    #[inline]
     pub fn opcode(&self) -> Opcode {
         match self {
             Instruction::CimMvm { .. } => Opcode::CimMvm,
@@ -486,6 +488,7 @@ impl Instruction {
     }
 
     /// Returns the operation class (execution unit family) of the instruction.
+    #[inline]
     pub fn class(&self) -> OpcodeClass {
         self.opcode().class()
     }

@@ -188,6 +188,7 @@ impl Opcode {
     }
 
     /// Returns the operation class executed by this opcode.
+    #[inline]
     pub fn class(self) -> OpcodeClass {
         match self {
             Opcode::CimMvm | Opcode::CimLoad | Opcode::CimStoreAcc => OpcodeClass::Cim,

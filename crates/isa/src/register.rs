@@ -42,6 +42,7 @@ impl GReg {
     }
 
     /// Returns the architectural index of the register.
+    #[inline]
     pub fn index(self) -> u8 {
         self.0
     }
@@ -102,6 +103,7 @@ impl SReg {
     ];
 
     /// Returns the encoding index of the special register.
+    #[inline]
     pub fn index(self) -> u8 {
         match self {
             SReg::CoreId => 0,

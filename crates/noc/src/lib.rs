@@ -39,8 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a mesh node (row-major core index).
@@ -172,47 +170,47 @@ impl NocStats {
 }
 
 /// Walks a packet of `flits` flits (carrying `bytes` payload bytes) over
-/// `route`, queueing on busy links and accounting into `stats` — the one
+/// the route whose links occupy `slots` of the flat `link_free` table,
+/// queueing on busy links and accounting into `stats` — the one
 /// contention/serialization model shared by the on-chip [`Mesh`] and the
 /// chip-to-chip [`InterChipFabric`], which differ only in how they route.
 ///
 /// An empty route or a zero-flit packet completes immediately without
 /// touching the network (the packet is still counted).
 fn transfer_over(
-    route: &[Link],
+    slots: impl Iterator<Item = usize>,
     flits: u64,
     bytes: u64,
     hop_latency: u64,
     now: u64,
-    link_free: &mut BTreeMap<Link, u64>,
+    link_free: &mut [u64],
     stats: &mut NocStats,
 ) -> TransferOutcome {
-    if route.is_empty() || flits == 0 {
-        let outcome =
-            TransferOutcome { departure: now, arrival: now, hops: 0, flits, contention: 0 };
-        stats.packets += 1;
-        stats.bytes += bytes;
-        stats.flits += flits;
-        return outcome;
+    stats.packets += 1;
+    stats.bytes += bytes;
+    stats.flits += flits;
+    let immediate = TransferOutcome { departure: now, arrival: now, hops: 0, flits, contention: 0 };
+    if flits == 0 {
+        return immediate;
     }
-    let hops = route.len() as u32;
+    let mut hops = 0u32;
     let mut head_time = now;
     let mut contention = 0u64;
-    for link in route {
-        let free_at = link_free.get(link).copied().unwrap_or(0);
-        let start = head_time.max(free_at);
+    for slot in slots {
+        let start = head_time.max(link_free[slot]);
         contention += start - head_time;
         // The link is busy until the tail flit has crossed it.
-        link_free.insert(*link, start + flits);
+        link_free[slot] = start + flits;
         head_time = start + hop_latency;
+        hops += 1;
+    }
+    if hops == 0 {
+        return immediate;
     }
     // The tail flit arrives `flits - 1` cycles after the head.
     let arrival = head_time + flits.saturating_sub(1);
     let outcome = TransferOutcome { departure: now, arrival, hops, flits, contention };
 
-    stats.packets += 1;
-    stats.bytes += bytes;
-    stats.flits += flits;
     stats.flit_hops += flits * u64::from(hops);
     stats.byte_hops += bytes * u64::from(hops);
     stats.total_latency += outcome.latency();
@@ -240,18 +238,26 @@ pub trait Interconnect {
     fn reset(&mut self);
 }
 
-/// The mesh NoC with per-link contention state.
+/// Out-links per router in the mesh's link table: east, west, south and
+/// north, in that slot order.
+const MESH_PORTS: usize = 4;
+
+/// The mesh NoC with per-link contention state: a flat table of the
+/// cycle each router out-link frees up, four slots per router.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     config: NocConfig,
-    link_free: BTreeMap<Link, u64>,
+    link_free: Vec<u64>,
     stats: NocStats,
 }
 
 impl Mesh {
-    /// Creates an idle mesh.
+    /// Creates an idle mesh. Its link table holds four `u64` slots per
+    /// node; `ChipConfig::validate` bounds the mesh it is built from at
+    /// `MAX_MESH_NODES` nodes.
     pub fn new(config: NocConfig) -> Self {
-        Mesh { config, link_free: BTreeMap::new(), stats: NocStats::default() }
+        let link_free = vec![0; config.nodes() as usize * MESH_PORTS];
+        Mesh { config, link_free, stats: NocStats::default() }
     }
 
     /// The mesh configuration.
@@ -266,31 +272,45 @@ impl Mesh {
 
     /// Clears contention state and statistics.
     pub fn reset(&mut self) {
-        self.link_free.clear();
+        self.link_free.fill(0);
         self.stats = NocStats::default();
+    }
+
+    /// The XY walk from `src` to `dst`, X first, then Y: every hop as its
+    /// directed link and that link's slot (`from * MESH_PORTS +
+    /// direction`) in the link table — the one routing implementation
+    /// behind both [`Mesh::route`] and [`Mesh::transfer`].
+    fn walk(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = (Link, usize)> {
+        let width = self.config.width;
+        let (mut x, mut y) = self.config.coordinates(src);
+        let (tx, ty) = self.config.coordinates(dst);
+        let mut current = src;
+        std::iter::from_fn(move || {
+            let direction = if x < tx {
+                x += 1;
+                0
+            } else if x > tx {
+                x -= 1;
+                1
+            } else if y < ty {
+                y += 1;
+                2
+            } else if y > ty {
+                y -= 1;
+                3
+            } else {
+                return None;
+            };
+            let next = y * width + x;
+            let hop = (Link { from: current, to: next }, current as usize * MESH_PORTS + direction);
+            current = next;
+            Some(hop)
+        })
     }
 
     /// The XY route from `src` to `dst` as a list of directed links.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<Link> {
-        let mut links = Vec::new();
-        let (mut x, mut y) = self.config.coordinates(src);
-        let (tx, ty) = self.config.coordinates(dst);
-        let mut current = src;
-        while x != tx {
-            let next_x = if x < tx { x + 1 } else { x - 1 };
-            let next = y * self.config.width + next_x;
-            links.push(Link { from: current, to: next });
-            current = next;
-            x = next_x;
-        }
-        while y != ty {
-            let next_y = if y < ty { y + 1 } else { y - 1 };
-            let next = next_y * self.config.width + x;
-            links.push(Link { from: current, to: next });
-            current = next;
-            y = next_y;
-        }
-        links
+        self.walk(src, dst).map(|(link, _)| link).collect()
     }
 
     /// Simulates one packet transfer of `bytes` from `src` to `dst`
@@ -298,11 +318,18 @@ impl Mesh {
     ///
     /// Transfers with `src == dst` (or zero bytes) complete immediately
     /// without touching the network.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both endpoints are mesh nodes (`< config().nodes()`).
+    /// `ArchConfig::validate` guarantees this for every core and for the
+    /// memory port of a validated architecture.
     pub fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, now: u64) -> TransferOutcome {
+        let nodes = self.config.nodes();
+        assert!(src < nodes && dst < nodes, "transfer {src} -> {dst} leaves the {nodes}-node mesh");
         let flits = self.config.flits_for(bytes);
-        let route = if src == dst { Vec::new() } else { self.route(src, dst) };
         transfer_over(
-            &route,
+            self.walk(src, dst).map(|(_, slot)| slot),
             flits,
             bytes,
             u64::from(self.config.hop_latency),
@@ -394,17 +421,23 @@ impl InterChipConfig {
 /// of the `(src, dst)` pair; ring fabrics walk the shorter ring direction
 /// one chip at a time, occupying every traversed link for the packet's
 /// serialization time so concurrent packets queue behind each other.
+///
+/// Link occupancy lives in a flat table with one slot per ordered chip
+/// pair (`from * chips + to`).
 #[derive(Debug, Clone)]
 pub struct InterChipFabric {
     config: InterChipConfig,
-    link_free: BTreeMap<Link, u64>,
+    link_free: Vec<u64>,
     stats: NocStats,
 }
 
 impl InterChipFabric {
-    /// Creates an idle fabric.
+    /// Creates an idle fabric. Its link table holds one `u64` slot per
+    /// ordered chip pair; `SystemConfig::validate` bounds the chip count
+    /// it is built from at `MAX_CHIP_COUNT`.
     pub fn new(config: InterChipConfig) -> Self {
-        InterChipFabric { config, link_free: BTreeMap::new(), stats: NocStats::default() }
+        let chips = config.chips.max(1) as usize;
+        InterChipFabric { config, link_free: vec![0; chips * chips], stats: NocStats::default() }
     }
 
     /// The fabric configuration.
@@ -412,36 +445,53 @@ impl InterChipFabric {
         &self.config
     }
 
+    /// The walk from chip `src` to chip `dst`: the direct link on a
+    /// point-to-point fabric, the shorter ring direction on a ring.
+    fn walk(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = Link> {
+        let chips = self.config.chips.max(1);
+        let ring = self.config.ring;
+        let step_forward = ring && {
+            let forward = (dst + chips - src) % chips;
+            forward <= chips - forward
+        };
+        let mut current = src;
+        std::iter::from_fn(move || {
+            if current == dst {
+                return None;
+            }
+            let next = match (ring, step_forward) {
+                (false, _) => dst,
+                (true, true) => (current + 1) % chips,
+                (true, false) => (current + chips - 1) % chips,
+            };
+            let link = Link { from: current, to: next };
+            current = next;
+            Some(link)
+        })
+    }
+
     /// The route from chip `src` to chip `dst` as a list of directed
     /// links.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<Link> {
-        if src == dst {
-            return Vec::new();
-        }
-        if !self.config.ring {
-            return vec![Link { from: src, to: dst }];
-        }
-        let chips = self.config.chips.max(1);
-        let forward = (dst + chips - src) % chips;
-        let step_forward = forward <= chips - forward;
-        let mut links = Vec::new();
-        let mut current = src;
-        while current != dst {
-            let next =
-                if step_forward { (current + 1) % chips } else { (current + chips - 1) % chips };
-            links.push(Link { from: current, to: next });
-            current = next;
-        }
-        links
+        self.walk(src, dst).collect()
     }
 }
 
 impl Interconnect for InterChipFabric {
+    /// # Panics
+    ///
+    /// Panics unless both endpoints are chips of the fabric
+    /// (`< config().chips`).
     fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, now: u64) -> TransferOutcome {
+        let chips = self.config.chips;
+        assert!(
+            src < chips && dst < chips,
+            "transfer {src} -> {dst} leaves the {chips}-chip fabric"
+        );
         let flits = self.config.flits_for(bytes);
-        let route = self.route(src, dst);
+        let slots = self.walk(src, dst).map(|link| (link.from * chips + link.to) as usize);
         transfer_over(
-            &route,
+            slots,
             flits,
             bytes,
             u64::from(self.config.link_latency),
@@ -456,7 +506,7 @@ impl Interconnect for InterChipFabric {
     }
 
     fn reset(&mut self) {
-        self.link_free.clear();
+        self.link_free.fill(0);
         self.stats = NocStats::default();
     }
 }
@@ -513,6 +563,38 @@ mod tests {
         // A packet on a disjoint path is unaffected.
         let third = mesh.transfer(12, 15, 256, 0);
         assert_eq!(third.contention, 0);
+    }
+
+    #[test]
+    fn opposite_directions_of_a_link_do_not_contend() {
+        let mut mesh = mesh4();
+        // 1 -> 0 and 0 -> 1 (and 4 -> 0 and 0 -> 4) use distinct link slots.
+        assert_eq!(mesh.transfer(0, 1, 256, 0).contention, 0);
+        assert_eq!(mesh.transfer(1, 0, 256, 0).contention, 0);
+        assert_eq!(mesh.transfer(0, 4, 256, 0).contention, 0);
+        assert_eq!(mesh.transfer(4, 0, 256, 0).contention, 0);
+        assert!(mesh.transfer(0, 1, 256, 0).contention > 0);
+    }
+
+    #[test]
+    fn reset_frees_every_link() {
+        let mut mesh = mesh4();
+        let first = mesh.transfer(0, 15, 256, 0);
+        assert!(mesh.transfer(0, 15, 256, 0).contention > 0);
+        mesh.reset();
+        assert_eq!(mesh.transfer(0, 15, 256, 0), first);
+
+        let mut fabric = InterChipFabric::new(InterChipConfig::ring(4, 32, 64));
+        let first = fabric.transfer(0, 2, 4096, 0);
+        assert!(fabric.transfer(0, 2, 4096, 0).contention > 0);
+        fabric.reset();
+        assert_eq!(fabric.transfer(0, 2, 4096, 0), first);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the 16-node mesh")]
+    fn transfers_to_nodes_outside_the_mesh_panic() {
+        mesh4().transfer(0, 16, 64, 0);
     }
 
     #[test]

@@ -190,7 +190,9 @@ pub struct Simulator {
     address_map: AddressMap,
     channels: HashMap<(u32, u32), VecDeque<Message>>,
     global_port_free: Vec<u64>,
-    dynamic: BTreeMap<OpcodeClass, u64>,
+    /// Executed instructions per [`OpcodeClass`], indexed by its
+    /// declaration order ([`OpcodeClass::ALL`]).
+    dynamic: [u64; OpcodeClass::ALL.len()],
     cim_ops: u64,
     vector_ops: u64,
     total_macs: u64,
@@ -292,7 +294,7 @@ impl Simulator {
             address_map: arch.address_map(),
             channels: HashMap::new(),
             global_port_free: vec![0; chip_count],
-            dynamic: BTreeMap::new(),
+            dynamic: [0; OpcodeClass::ALL.len()],
             cim_ops: 0,
             vector_ops: 0,
             total_macs,
@@ -431,11 +433,7 @@ impl Simulator {
             ops,
             transfers,
             chip_transfers: self.chip_transfers.clone(),
-            dynamic_instructions: self
-                .dynamic
-                .iter()
-                .map(|(class, count)| (class.to_string(), *count))
-                .collect(),
+            dynamic_instructions: class_counts(&self.dynamic),
             cim_ops: self.cim_ops,
             vector_ops: self.vector_ops,
             total_macs: self.total_macs,
@@ -981,7 +979,7 @@ impl Simulator {
         core.energy.control_pj += issue_pj;
         core.executed += 1;
         self.executed += 1;
-        *self.dynamic.entry(inst.class()).or_insert(0) += 1;
+        self.dynamic[inst.class() as usize] += 1;
         if advance {
             core.pc += 1;
         }
@@ -1096,11 +1094,7 @@ impl Simulator {
         let mut report = SimReport {
             total_cycles,
             energy,
-            dynamic_instructions: self
-                .dynamic
-                .into_iter()
-                .map(|(class, count)| (class.to_string(), count))
-                .collect(),
+            dynamic_instructions: class_counts(&self.dynamic),
             cim_activity: UnitActivity { busy_cycles: cim_busy, operations: self.cim_ops },
             vector_activity: UnitActivity { busy_cycles: vector_busy, operations: self.vector_ops },
             noc,
@@ -1116,6 +1110,17 @@ impl Simulator {
         report.attach_arch(&self.arch);
         report
     }
+}
+
+/// The report's per-class instruction counts, keyed by class name; only
+/// classes that executed at least once appear.
+fn class_counts(dynamic: &[u64; OpcodeClass::ALL.len()]) -> BTreeMap<String, u64> {
+    OpcodeClass::ALL
+        .iter()
+        .zip(dynamic)
+        .filter(|(_, count)| **count > 0)
+        .map(|(class, count)| (class.to_string(), *count))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1334,6 +1339,17 @@ mod tests {
         .unwrap();
         assert_eq!(report.total_cycles, baseline.total_cycles);
         assert_eq!(report.chip_cycles, baseline.chip_cycles);
+    }
+
+    #[test]
+    fn class_counts_are_indexed_in_class_order_and_skip_unexecuted_classes() {
+        for (index, class) in OpcodeClass::ALL.iter().enumerate() {
+            assert_eq!(*class as usize, index, "{class} indexes the count array");
+        }
+        let counts = class_counts(&[3, 0, 5, 0, 1]);
+        let expected: BTreeMap<String, u64> =
+            [("cim", 3), ("scalar", 5), ("control", 1)].map(|(k, v)| (k.to_owned(), v)).into();
+        assert_eq!(counts, expected);
     }
 
     #[test]
